@@ -132,17 +132,14 @@ def render_telemetry_section(report: dict) -> str:
     )
     if runner_total:
         cache_rows.append(("runner result cache", _hit_rate(runner_hits, runner_total)))
-    csr_hits = counters.get("csr.cache.hit", 0) + counters.get("csr.cache.patch", 0)
-    csr_total = csr_hits + sum(
-        counters.get(name, 0)
-        for name in (
-            "csr.cache.build",
-            "csr.cache.rebuild_overflow",
-            "csr.cache.rebuild_patch_rejected",
-        )
+    csr_hits = counters.get("csr.cache.hit", 0)
+    csr_total = (
+        csr_hits
+        + counters.get("csr.cache.build", 0)
+        + counters.get("csr.cache.rebuild", 0)
     )
     if csr_total:
-        cache_rows.append(("CSR cache (hit or patched)", _hit_rate(csr_hits, csr_total)))
+        cache_rows.append(("CSR cache", _hit_rate(csr_hits, csr_total)))
     scratch_hits = counters.get("wave.scratch.hit", 0)
     scratch_total = scratch_hits + counters.get("wave.scratch.miss", 0)
     if scratch_total:

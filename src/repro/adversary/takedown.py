@@ -91,11 +91,9 @@ class TargetedDegreeTakedown:
     """Always remove the current highest-degree node (hub-targeted cleanup).
 
     The per-victim candidate search runs through
-    :func:`repro.graphs.backend.top_degree_nodes`: at paper scale that is a
-    masked argmax over the CSR degree array, kept fresh between victims by
-    the incremental delta patching instead of a full mirror rebuild.  The
-    candidate list (and therefore the rng draw) is identical on both
-    backends.
+    :func:`repro.graphs.backend.top_degree_nodes`, one scan of the current
+    degrees per victim; the candidate list (and therefore the rng draw) does
+    not depend on the graph backend.
     """
 
     count: int

@@ -417,18 +417,12 @@ def degree_histogram(graph: UndirectedGraph) -> Dict[int, int]:
 def top_degree_nodes(graph: UndirectedGraph) -> List[NodeId]:
     """All maximum-degree nodes, sorted by ``repr`` (empty for an empty graph).
 
-    Backs the hub-targeted takedown's per-victim candidate search: the fast
-    path is a masked argmax over the (incrementally patched) CSR degree
-    array, the reference path the equivalent dict scan.  The ``repr`` sort
-    makes the list identical on both backends, so the strategy's rng draw is
-    backend-independent.
+    Backs the hub-targeted takedown's per-victim candidate search.  One scan
+    of the adjacency sets serves every backend: the takedown mutates the
+    graph between queries, so a CSR mirror would be rebuilt for each one.
     """
     if graph.number_of_nodes() == 0:
         return []
-    if resolve_for(graph) == "fast":
-        from repro.graphs import fast
-
-        return fast.top_degree_nodes(graph)
     degrees = graph.degrees()
     top = max(degrees.values())
     return sorted((node for node, degree in degrees.items() if degree == top), key=repr)

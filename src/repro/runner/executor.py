@@ -538,9 +538,9 @@ def sharded_full_path_metrics(
 
     ``workers > 1`` runs on the invocation-wide persistent pool
     (:func:`repro.runner.pool.get_pool`): the CSR arrays are published via
-    shared memory once, consecutive checkpoints broadcast only delta
-    patches (or re-attach after an overflow/compaction), and pool spin-up
-    is paid once per invocation instead of once per checkpoint.
+    shared memory once per graph state (a checkpoint that mutated the graph
+    publishes fresh segments, an unchanged one reuses them), and pool
+    spin-up is paid once per invocation instead of once per checkpoint.
 
     Inside a journaled campaign's in-parent work unit
     (:func:`repro.runner.journal.active_unit_scope`), every completed shard

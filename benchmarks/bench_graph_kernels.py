@@ -1,6 +1,6 @@
 """Graph-kernel backend benchmark: pure-Python BFS vs vectorized CSR.
 
-Six workloads, written as one per-PR entry in the ``runs`` trajectory of
+Seven workloads, written as one per-PR entry in the ``runs`` trajectory of
 ``BENCH_graph_kernels.json`` at the repository root:
 
 * ``kernels`` -- connected components + sampled diameter on k-regular graphs
@@ -24,7 +24,15 @@ Six workloads, written as one per-PR entry in the ``runs`` trajectory of
   eccentricity max and distance sums accumulated as the waves advance) vs a
   naive per-source full sweep (one ``bfs_distances`` kernel launch per node,
   the pre-accumulator way to get exact values), bit-identical and pinned to
-  a golden.
+  a golden;
+* ``native_wave`` -- ``fast.accumulate_path_shard`` over every source at
+  ``FULL_PATH_N``: the numpy wave engine vs the fused C kernel
+  (``repro.graphs._wave_native``), same warm CSR, identical accumulators.
+  The exact-path and full-closeness rows above also run on the C kernel
+  whenever it builds.
+
+Every appended entry records the machine it ran on (CPU count and model,
+Python, numpy, popcount backend and wave kernel).
 
 The fast timings are measured *cold*: the CSR cache is dropped before each
 repetition, so the reported numbers include the UndirectedGraph -> CSR
@@ -36,8 +44,9 @@ Asserted contracts (the PR acceptance bars): fast >= 10x at n=20k on the
 kernel pair, batched multi-source BFS >= 3x over the per-source loop at
 n=100k, the vectorized SOAP campaign >= 5x at n=20k, the adaptive engine
 >= 3.5x over the PR 3 wave on 100k full-population closeness, >= 5x over
-the dense-only wave on the 100k ring diameter, and the one-campaign exact
-path metrics >= 4x over the naive per-source full sweep at n=20k.
+the dense-only wave on the 100k ring diameter, the one-campaign exact
+path metrics >= 4x over the naive per-source full sweep at n=20k, and the
+C wave kernel >= 1.5x over the numpy engine when it builds.
 
 Run directly for a quick smoke with a wall-clock bound (used by CI)::
 
@@ -50,8 +59,11 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import platform
 import random
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 SIZES = (1_000, 5_000, 20_000, 100_000)
@@ -77,6 +89,9 @@ SOAP_SPEEDUP_FLOOR = 5.0
 FULL_CLOSENESS_SPEEDUP_FLOOR = 3.5
 SPARSE_FRONTIER_SPEEDUP_FLOOR = 5.0
 FULL_PATH_SPEEDUP_FLOOR = 4.0
+#: A tripwire, well under the ~2.5-3x measured on a 2-vCPU x86-64 box.
+NATIVE_WAVE_SPEEDUP_FLOOR = 1.5
+NATIVE_WAVE_REPEATS = 3
 
 FULL_CLOSENESS_N = 100_000
 SPARSE_FRONTIER_N = 100_000
@@ -112,7 +127,7 @@ FULL_PATH_GOLDEN_100K = {
 }
 
 #: Ordinal of this PR's entry in the ``runs`` trajectory.
-PR_LABEL = "PR 5"
+PR_LABEL = "PR 13"
 
 
 def _workload(module, graph, *, connected_components=True, diameter=True):
@@ -485,6 +500,91 @@ def run_full_path_metrics_benchmark(n=FULL_PATH_N, *, emit=print) -> dict:
     return row
 
 
+@contextmanager
+def _numpy_wave_engine():
+    """Run exact path metrics on the numpy engine, as without a C compiler."""
+    from repro.graphs import _wave_native
+
+    original = _wave_native.load
+    _wave_native.load = lambda: None
+    try:
+        yield
+    finally:
+        _wave_native.load = original
+
+
+def run_native_wave_benchmark(
+    n=FULL_PATH_N, *, repeats=NATIVE_WAVE_REPEATS, emit=print
+) -> dict:
+    """Every-source ``accumulate_path_shard``: numpy engine vs the C kernel."""
+    import numpy as np
+
+    from repro.graphs import fast
+    from repro.graphs.generators import k_regular_graph
+
+    graph = k_regular_graph(n, K, seed=5000 + n)
+    csr = fast.csr_of(graph)
+    sources = np.arange(csr.n, dtype=np.int64)
+
+    def best_of(repeats):
+        seconds = []
+        for _ in range(repeats):
+            started = time.perf_counter()
+            result = fast.accumulate_path_shard(csr, sources)
+            seconds.append(time.perf_counter() - started)
+        return min(seconds), result
+
+    with _numpy_wave_engine():
+        numpy_seconds, expected = best_of(repeats)
+    row = {
+        "n": n,
+        "k": K,
+        "sources": n,
+        "repeats": repeats,
+        "numpy_wave_sources": fast.wave_batch(csr, n),
+        "numpy_seconds": round(numpy_seconds, 6),
+        "native_seconds": None,
+        "speedup": None,
+    }
+    if fast.wave_kernel() == "native":
+        native_seconds, result = best_of(repeats)
+        for got, want in zip(result, expected):
+            assert np.array_equal(got, want)
+        row["native_wave_sources"] = fast._native_wave_batch(csr)
+        row["native_seconds"] = round(native_seconds, 6)
+        row["speedup"] = round(numpy_seconds / native_seconds, 2)
+    emit(
+        f"native-wave n={n:>7,}  numpy={numpy_seconds:8.3f}s  "
+        f"native={row['native_seconds']}s  speedup={row['speedup']}x"
+    )
+    return row
+
+
+def machine_fingerprint() -> dict:
+    """CPU, interpreter, numpy and kernel selections the timings ran on."""
+    import numpy
+
+    from repro.graphs import fast
+
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cpu_count": os.cpu_count(),
+        "cpu_model": model,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "popcount_backend": fast._POPCOUNT_BACKEND,
+        "wave_kernel": fast.wave_kernel(),
+    }
+
+
 def run_sharded_path_smoke(n: int, workers: int, *, emit=print) -> dict:
     """Serial vs source-sharded exact path metrics: the merge must be exact.
 
@@ -564,7 +664,7 @@ def run_soap_benchmark(n=SOAP_N, *, repeats=SOAP_REPEATS, emit=print) -> dict:
 
 
 def run_benchmark(sizes=SIZES, *, emit=print) -> dict:
-    """All six workloads; returns this PR's trajectory entry."""
+    """All seven workloads; returns this PR's trajectory entry."""
     return {
         "pr": PR_LABEL,
         "workload": "connected_components + sampled diameter "
@@ -582,6 +682,7 @@ def run_benchmark(sizes=SIZES, *, emit=print) -> dict:
         "full_closeness": run_full_closeness_benchmark(emit=emit),
         "sparse_frontier": run_sparse_frontier_benchmark(emit=emit),
         "full_path_metrics": run_full_path_metrics_benchmark(emit=emit),
+        "native_wave": run_native_wave_benchmark(emit=emit),
     }
 
 
@@ -597,7 +698,7 @@ def write_report(entry: dict, path: Path = OUTPUT) -> None:
             previous["pr"] = "PR 2"
             runs = [previous]
     runs = [run for run in runs if run.get("pr") != entry.get("pr")]
-    runs.append(entry)
+    runs.append(dict(entry, machine=machine_fingerprint()))
     report = {"benchmark": "graph_kernels", "runs": runs}
     path.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -662,6 +763,12 @@ def test_graph_kernel_speedup(benchmark):
     # values so the 20k exact diameter/ASPL/closeness have a golden on record.
     for key, expected in FULL_PATH_GOLDEN_20K.items():
         assert full_path[key] == expected, (key, full_path[key])
+    native = entry["native_wave"]
+    if native["speedup"] is not None:
+        assert native["speedup"] >= NATIVE_WAVE_SPEEDUP_FLOOR, (
+            f"C wave kernel only {native['speedup']}x over the numpy engine "
+            f"at n={native['n']}"
+        )
 
 
 def main(argv=None) -> int:
@@ -708,7 +815,8 @@ def main(argv=None) -> int:
         "--full-path-n",
         type=int,
         default=None,
-        help="smoke the exact path-metric pair (naive vs campaign) at this size",
+        help="smoke the exact path-metric pair (naive vs campaign) and the "
+        "numpy-vs-native wave row at this size",
     )
     parser.add_argument(
         "--shard-n",
@@ -764,6 +872,7 @@ def main(argv=None) -> int:
         # Identity is the CI contract (the workload asserts naive == campaign
         # internally); smoke-size speedups are recorded but not gated.
         entry["full_path_metrics"] = run_full_path_metrics_benchmark(args.full_path_n)
+        entry["native_wave"] = run_native_wave_benchmark(args.full_path_n, repeats=1)
     if args.shard_n:
         entry["sharded_path_smoke"] = run_sharded_path_smoke(
             args.shard_n, args.shard_workers

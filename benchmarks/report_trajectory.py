@@ -73,7 +73,28 @@ def _series_points(runs: List[dict]) -> Dict[str, List[Tuple[int, float]]]:
                 index,
                 full_path.get("speedup"),
             )
+        native = run.get("native_wave")
+        if native:
+            add(f"C wave kernel n={native['n']:,}", index, native.get("speedup"))
     return series
+
+
+def render_machines(labels: List[str], runs: List[dict]) -> List[str]:
+    """One line per entry naming the machine it was measured on."""
+    lines = ["## Machines", ""]
+    for label, run in zip(labels, runs):
+        machine = run.get("machine")
+        if not machine:
+            lines.append(f"- {label}: not recorded")
+            continue
+        lines.append(
+            f"- {label}: {machine.get('cpu_count')} x {machine.get('cpu_model')}, "
+            f"Python {machine.get('python')}, numpy {machine.get('numpy')}, "
+            f"popcount {machine.get('popcount_backend')}, "
+            f"wave kernel {machine.get('wave_kernel')}"
+        )
+    lines.append("")
+    return lines
 
 
 def load_runs(path: Path = DEFAULT_JSON) -> List[dict]:
@@ -199,6 +220,7 @@ def render_markdown(runs: List[dict], telemetry: Optional[dict] = None) -> str:
         ]
         lines.append("| " + " | ".join(row) + " |")
     lines.append("")
+    lines.extend(render_machines(labels, runs))
     if telemetry is not None:
         lines.append(render_telemetry_section(telemetry))
     return "\n".join(lines)

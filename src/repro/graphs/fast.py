@@ -24,7 +24,13 @@ vectorized kernels over it:
   diameter, per-node/average shortest path length *and* closeness
   (:func:`full_path_metrics`, :func:`path_length_accumulators`); the int64
   accumulators merge exactly across any source split, which is what the
-  runner's source-sharded parallel campaigns exploit,
+  runner's source-sharded parallel campaigns exploit.  These waves run one
+  C call each (:mod:`repro.graphs._wave_native`, a direction-optimizing
+  push/pull kernel built with the local C compiler on first use) and fall
+  back to the numpy engine above when no compiler is available;
+  :func:`wave_kernel` names the engine in use.  Selection is automatic,
+  both engines add the same integers, and the numpy engine is the
+  differential oracle the native kernel is tested against,
 * connected components via min-label propagation with pointer jumping
   (Shiloach--Vishkin style, O(m log n) total work),
 * masked component summaries for the Figure 6 simultaneous-deletion sweeps
@@ -70,6 +76,12 @@ BFS_BATCH = 64
 #: Upper bound on frontier words per node under the ``auto`` wave-width
 #: policy: one wave advances at most ``64 * MAX_WAVE_WORDS`` sources.
 MAX_WAVE_WORDS = 64
+
+#: Frontier words per wave of the native path-metric kernel under ``auto``
+#: (256 sources): its per-level cost is one pass over the frontier's or the
+#: unsaturated rows' edges, so wider waves amortise each pass over more
+#: sources until the ``(n, words)`` rows stop fitting the caches.
+NATIVE_WAVE_WORDS = 4
 
 #: Byte budget for one ``(n, words)`` uint64 wave work array under ``auto``;
 #: the tuner shrinks the word count on huge graphs so the handful of wave
@@ -941,12 +953,7 @@ def _full_population_closeness(csr: CSRGraph, n: int) -> float:
     # labelling replaces a per-level scatter.
     reached = _reached_counts(csr).astype(np.float64)
     totals = np.zeros(csr.n, dtype=np.int64)
-    chunk_size = wave_batch(csr, sources.size)
-    for offset in range(0, sources.size, chunk_size):
-        chunk = sources[offset:offset + chunk_size]
-        waves = _batched_wave(csr, chunk, counting=True)
-        for depth, (rows, popcounts) in enumerate(waves, start=1):
-            totals[rows] += depth * popcounts
+    _accumulate_waves(csr, sources, None, totals)
     # Vectorised but bit-identical assembly: every operand is an int64 far
     # below 2**53, so float64 conversion is exact and each division/multiply
     # rounds exactly like the reference's Python-float expression.  Only the
@@ -962,6 +969,106 @@ def _full_population_closeness(csr: CSRGraph, n: int) -> float:
 # ----------------------------------------------------------------------
 # Exact full-population path metrics (eccentricity / diameter / ASPL)
 # ----------------------------------------------------------------------
+def wave_kernel() -> str:
+    """The engine exact path metrics run on: ``"native"`` or ``"numpy"``.
+
+    ``"native"`` when the C wave kernel builds and loads (the first call
+    may compile it), ``"numpy"`` otherwise.  Both return identical integers.
+    """
+    from repro.graphs import _wave_native
+
+    return "numpy" if _wave_native.load() is None else "native"
+
+
+def _native_wave_batch(csr: CSRGraph) -> int:
+    """Sources per native wave: :data:`NATIVE_WAVE_WORDS` words, or as forced.
+
+    A forced ``bfs_batch`` is honoured as the chunk size (the kernel rounds
+    it up to whole words); under ``auto`` the width is constant, shrunk only
+    when the kernel's ``(n, words)`` buffers would blow
+    :data:`WAVE_BUFFER_BUDGET`.
+    """
+    from repro.graphs import backend
+
+    policy = backend.bfs_batch_policy()
+    if policy != "auto":
+        return int(policy)
+    budget_words = max(1, WAVE_BUFFER_BUDGET // (8 * max(csr.n, 1)))
+    return min(NATIVE_WAVE_WORDS, budget_words) * BFS_BATCH
+
+
+def _accumulate_waves(
+    csr: CSRGraph,
+    sources: np.ndarray,
+    ecc: Optional[np.ndarray],
+    totals: np.ndarray,
+) -> None:
+    """Fold every wave of ``sources`` into ``totals`` and (unless ``None``) ``ecc``.
+
+    ``totals[v] += d * (sources first reaching v at depth d)`` and
+    ``ecc[v] = max(ecc[v], d)`` over every level of every wave chunk.  Runs
+    one C call per chunk when the native kernel loads, else the numpy
+    :func:`_batched_wave` engine; both add the same integers.
+    """
+    # Imported on first use: importing this module must not pay for the
+    # loader's compiler-probing machinery.
+    from repro.graphs import _wave_native
+
+    if sources.size == 0:
+        return
+    kernel = _wave_native.load()
+    tel = _telemetry()
+    if tel.enabled:
+        tel.gauge("wave.kernel", "numpy" if kernel is None else "native")
+    if kernel is None:
+        chunk_size = wave_batch(csr, sources.size)
+        for offset in range(0, sources.size, chunk_size):
+            chunk = sources[offset:offset + chunk_size]
+            waves = _batched_wave(csr, chunk, counting=True)
+            for depth, (rows, popcounts) in enumerate(waves, start=1):
+                totals[rows] += depth * popcounts
+                if ecc is not None:
+                    # ``rows`` is duplicate-free per level, so a fancy-indexed
+                    # max is safe; depths vary across chunks, hence max.
+                    ecc[rows] = np.maximum(ecc[rows], depth)
+        return
+    # The C kernel indexes raw memory: reject what numpy would reject.
+    if int(sources.min()) < 0 or int(sources.max()) >= csr.n:
+        raise IndexError("wave source index out of range")
+    n = csr.n
+    indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(csr.indices, dtype=np.int32)
+    sources = np.ascontiguousarray(sources, dtype=np.int64)
+    stats = np.zeros(_wave_native.STAT_COUNT, dtype=np.int64)
+    chunk_size = _native_wave_batch(csr)
+    for offset in range(0, sources.size, chunk_size):
+        chunk = sources[offset:offset + chunk_size]
+        words = -(-chunk.size // BFS_BATCH)
+        status = kernel(
+            n,
+            indptr.ctypes.data,
+            indices.ctypes.data,
+            chunk.ctypes.data,
+            chunk.size,
+            words,
+            None if ecc is None else ecc.ctypes.data,
+            totals.ctypes.data,
+            stats.ctypes.data,
+        )
+        if status != 0:
+            raise MemoryError(f"native wave of {chunk.size} sources over {n} nodes")
+        if tel.enabled:
+            levels, push, pull, frontier_rows = stats.tolist()
+            tel.count("wave.count")
+            tel.count("wave.sources", int(chunk.size))
+            tel.count(f"wave.words.{words}")
+            tel.count("wave.levels", levels)
+            tel.count("wave.dispatch.sparse", push)
+            tel.count("wave.dispatch.pull", pull)
+            tel.count("wave.frontier_rows", frontier_rows)
+            tel.count("wave.node_levels", n * levels)
+
+
 def _reached_counts(csr: CSRGraph) -> np.ndarray:
     """Per-index count of *other* nodes in the same component.
 
@@ -998,17 +1105,7 @@ def accumulate_path_shard(
     sources = np.asarray(sources, dtype=np.int64)
     ecc = np.zeros(csr.n, dtype=np.int64)
     totals = np.zeros(csr.n, dtype=np.int64)
-    if sources.size == 0:
-        return ecc, totals
-    chunk_size = wave_batch(csr, sources.size)
-    for offset in range(0, sources.size, chunk_size):
-        chunk = sources[offset:offset + chunk_size]
-        waves = _batched_wave(csr, chunk, counting=True)
-        for depth, (rows, popcounts) in enumerate(waves, start=1):
-            totals[rows] += depth * popcounts
-            # ``rows`` is duplicate-free per level, so a fancy-indexed max is
-            # safe; depths vary across chunks, hence max rather than assign.
-            ecc[rows] = np.maximum(ecc[rows], depth)
+    _accumulate_waves(csr, sources, ecc, totals)
     return ecc, totals
 
 

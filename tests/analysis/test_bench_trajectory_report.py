@@ -76,3 +76,30 @@ def test_cli_entrypoint(trajectory, tmp_path, capsys):
     assert exit_code == 0
     printed = capsys.readouterr().out
     assert "BENCH_trajectory.md" in printed
+
+
+def test_machine_fingerprints_and_native_series_are_rendered(tmp_path):
+    machine = {
+        "cpu_count": 2,
+        "cpu_model": "Example CPU",
+        "python": "3.11.7",
+        "numpy": "2.4.6",
+        "popcount_backend": "native",
+        "wave_kernel": "native",
+    }
+    runs = [
+        {"pr": "older", "rows": [{"n": 1000, "speedup": 21.0}]},
+        {
+            "pr": "newer",
+            "rows": [{"n": 1000, "speedup": 20.0}],
+            "native_wave": {"n": 20000, "speedup": 2.9},
+            "machine": machine,
+        },
+    ]
+    table = report_trajectory.render_markdown(runs)
+    assert "| C wave kernel n=20,000 | — | 2.9x |" in table
+    assert "- older: not recorded" in table
+    assert (
+        "- newer: 2 x Example CPU, Python 3.11.7, numpy 2.4.6, "
+        "popcount native, wave kernel native"
+    ) in table

@@ -48,3 +48,31 @@ def small_botnet() -> OnionBotnet:
     net = OnionBotnet(seed=99)
     net.build(16)
     return net
+
+
+@pytest.fixture
+def numpy_wave_engine(monkeypatch):
+    """Pin exact path metrics to the numpy wave engine for one test.
+
+    Patches the native-kernel loader to report "unavailable", the same
+    state a machine without a C compiler is in.
+    """
+    from repro.graphs import _wave_native
+
+    monkeypatch.setattr(_wave_native, "load", lambda: None)
+
+
+@pytest.fixture
+def native_wave_engine():
+    """Skip the test unless the native wave kernel builds and loads here."""
+    from repro.graphs import _wave_native
+
+    if _wave_native.load() is None:
+        pytest.skip("native wave kernel unavailable (no working C compiler)")
+
+
+@pytest.fixture(params=["native", "numpy"])
+def wave_engine(request):
+    """Run a test once per exact-path-metric engine; returns the engine name."""
+    request.getfixturevalue(f"{request.param}_wave_engine")
+    return request.param

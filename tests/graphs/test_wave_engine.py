@@ -131,7 +131,7 @@ def test_multiword_wave_after_incremental_patch():
 # Dense / sparse / pull step equivalence
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", ["dense", "sparse", "pull", "adaptive"])
-def test_forced_step_modes_identical(step_graph, mode, monkeypatch):
+def test_forced_step_modes_identical(step_graph, mode, monkeypatch, numpy_wave_engine):
     monkeypatch.setattr(fast, "WAVE_STEP_MODE", mode)
     sources = step_graph.nodes()[::3]
     batched = fast.shortest_path_lengths_from_many(step_graph, sources)
@@ -151,7 +151,9 @@ def test_forced_step_modes_identical(step_graph, mode, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["dense", "sparse", "pull"])
-def test_forced_step_modes_identical_multiword(step_graph, mode, monkeypatch):
+def test_forced_step_modes_identical_multiword(
+    step_graph, mode, monkeypatch, numpy_wave_engine
+):
     """Step forcing and >64-source waves compose."""
     monkeypatch.setattr(fast, "WAVE_STEP_MODE", mode)
     sources = step_graph.nodes()
@@ -161,7 +163,7 @@ def test_forced_step_modes_identical_multiword(step_graph, mode, monkeypatch):
         assert distances == metrics.shortest_path_lengths_from(step_graph, source)
 
 
-def test_adaptive_ring_uses_sparse_steps(monkeypatch):
+def test_adaptive_ring_uses_sparse_steps(monkeypatch, numpy_wave_engine):
     """On a ring nearly every level must take the sparse step (the point)."""
     graph = ring_graph(400)
     csr = fast.csr_of(graph)
@@ -364,7 +366,7 @@ FULL_PATH_GOLDEN_2500 = {
 }
 
 
-def test_full_path_metrics_golden_both_backends():
+def test_full_path_metrics_golden_both_backends(wave_engine):
     graph = k_regular_graph(800, 6, seed=11)
     assert metrics.full_path_metrics(graph) == FULL_PATH_GOLDEN_800
     assert fast.full_path_metrics(graph) == FULL_PATH_GOLDEN_800
@@ -403,7 +405,9 @@ def test_path_length_accumulators_match_reference(step_graph):
 
 
 @pytest.mark.parametrize("mode", ["dense", "sparse", "pull"])
-def test_full_path_metrics_forced_step_modes(step_graph, mode, monkeypatch):
+def test_full_path_metrics_forced_step_modes(
+    step_graph, mode, monkeypatch, numpy_wave_engine
+):
     expected = metrics.full_path_metrics(step_graph)
     monkeypatch.setattr(fast, "WAVE_STEP_MODE", mode)
     assert fast.full_path_metrics(step_graph) == expected
@@ -429,7 +433,7 @@ def test_full_path_metrics_after_ghost_patching():
     )
 
 
-def test_accumulate_path_shard_merge_is_exact():
+def test_accumulate_path_shard_merge_is_exact(wave_engine):
     """Any split of the source set merges to the serial accumulators."""
     graph = k_regular_graph(350, 6, seed=64)
     csr = fast.csr_of(graph)

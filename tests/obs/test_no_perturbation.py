@@ -20,27 +20,40 @@ from repro.runner.executor import run_scenario, sharded_full_path_metrics
 from repro.runner.spec import ScenarioSpec
 
 
+def _engines(monkeypatch):
+    """Yield each exact-path-metric engine this machine can run, pinned."""
+    from repro.graphs import _wave_native
+
+    if _wave_native.load() is not None:
+        yield "native"
+    with monkeypatch.context() as patch:
+        patch.setattr(_wave_native, "load", lambda: None)
+        yield "numpy"
+
+
 class TestWaveCampaignDifferential:
-    def test_full_path_metrics_bit_identical_with_collection_on(self):
+    def test_full_path_metrics_bit_identical_with_collection_on(self, monkeypatch):
         from repro.graphs import fast
 
         graph = k_regular_graph(400, 6, seed=5)
         with backend.using("fast"):
             dark = fast.full_path_metrics(graph)
-            with telemetry.collecting() as collector:
-                lit = fast.full_path_metrics(graph)
-        assert lit == dark
-        # The wave engine was genuinely observed, per-level and per-wave.
-        snap = collector.snapshot()["counters"]
-        assert snap["wave.count"] >= 1
-        assert snap["wave.sources"] == 400
-        assert snap["wave.levels"] >= 1
-        dispatch = sum(v for k, v in snap.items() if k.startswith("wave.dispatch."))
-        assert dispatch == snap["wave.levels"]
-        assert collector.snapshot()["gauges"]["wave.popcount_backend"] in (
-            "native",
-            "lut",
-        )
+        for engine in _engines(monkeypatch):
+            with backend.using("fast"):
+                with telemetry.collecting() as collector:
+                    lit = fast.full_path_metrics(graph)
+            assert lit == dark
+            # The wave engine was genuinely observed, per-level and per-wave.
+            snap = collector.snapshot()["counters"]
+            assert snap["wave.count"] >= 1
+            assert snap["wave.sources"] == 400
+            assert snap["wave.levels"] >= 1
+            dispatch = sum(v for k, v in snap.items() if k.startswith("wave.dispatch."))
+            assert dispatch == snap["wave.levels"]
+            gauges = collector.snapshot()["gauges"]
+            assert gauges["wave.kernel"] == engine
+            if engine == "numpy":
+                assert gauges["wave.popcount_backend"] in ("native", "lut")
 
     def test_closeness_campaign_identical_and_csr_cache_observed(self):
         import random
@@ -63,19 +76,25 @@ class TestWaveCampaignDifferential:
         assert counters["csr.cache.build"] == 1
         assert counters["csr.cache.hit"] >= 1  # dark run left graph's CSR warm
 
-    def test_wave_frontier_accounting_is_consistent(self):
+    def test_wave_frontier_accounting_is_consistent(self, monkeypatch):
         """Dispatch/frontier counters describe the same levels the engine ran."""
         from repro.graphs import fast
 
         graph = k_regular_graph(500, 8, seed=13)
-        with backend.using("fast"):
-            with telemetry.collecting() as collector:
-                fast.full_path_metrics(graph)
-        counters = collector.snapshot()["counters"]
-        # The level-map rows scanned per level always span all n nodes.
-        assert counters["wave.node_levels"] == 500 * counters["wave.levels"]
-        # Scratch buffers were recycled: at most one miss per width in use.
-        assert counters.get("wave.scratch.miss", 0) <= counters["wave.count"]
+        frontier_rows = set()
+        for _engine in _engines(monkeypatch):
+            # One wave width for both engines, so their waves are the same.
+            with backend.using("fast"), backend.using_bfs_batch(256):
+                with telemetry.collecting() as collector:
+                    fast.full_path_metrics(graph)
+            counters = collector.snapshot()["counters"]
+            # The level-map rows scanned per level always span all n nodes.
+            assert counters["wave.node_levels"] == 500 * counters["wave.levels"]
+            # Scratch buffers were recycled: at most one miss per width in use.
+            assert counters.get("wave.scratch.miss", 0) <= counters["wave.count"]
+            frontier_rows.add(counters["wave.frontier_rows"])
+        # The rows each level newly reaches do not depend on the engine.
+        assert len(frontier_rows) == 1
 
 
 class TestRunnerDifferential:

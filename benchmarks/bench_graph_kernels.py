@@ -1,6 +1,6 @@
 """Graph-kernel backend benchmark: pure-Python BFS vs vectorized CSR.
 
-Seven workloads, written as one per-PR entry in the ``runs`` trajectory of
+Eight workloads, written as one per-PR entry in the ``runs`` trajectory of
 ``BENCH_graph_kernels.json`` at the repository root:
 
 * ``kernels`` -- connected components + sampled diameter on k-regular graphs
@@ -27,12 +27,16 @@ Seven workloads, written as one per-PR entry in the ``runs`` trajectory of
   a golden;
 * ``native_wave`` -- ``fast.accumulate_path_shard`` over every source at
   ``FULL_PATH_N``: the numpy wave engine vs the fused C kernel
-  (``repro.graphs._wave_native``), same warm CSR, identical accumulators.
+  (``repro.graphs._native``), same warm CSR, identical accumulators.
   The exact-path and full-closeness rows above also run on the C kernel
-  whenever it builds.
+  whenever it builds;
+* ``native_wiring`` -- ``k_regular_graph`` at ``NATIVE_WIRING_N`` for each
+  k in ``NATIVE_WIRING_KS``: the pure-Python pairing model vs one C call
+  per attempt (``repro_pair_stubs``), identical adjacency and RNG state.
+  Every other row wires its graphs on the C kernel whenever it builds.
 
 Every appended entry records the machine it ran on (CPU count and model,
-Python, numpy, popcount backend and wave kernel).
+Python, numpy, popcount backend, wave kernel and wiring kernel).
 
 The fast timings are measured *cold*: the CSR cache is dropped before each
 repetition, so the reported numbers include the UndirectedGraph -> CSR
@@ -45,14 +49,16 @@ kernel pair, batched multi-source BFS >= 3x over the per-source loop at
 n=100k, the vectorized SOAP campaign >= 5x at n=20k, the adaptive engine
 >= 3.5x over the PR 3 wave on 100k full-population closeness, >= 5x over
 the dense-only wave on the 100k ring diameter, the one-campaign exact
-path metrics >= 4x over the naive per-source full sweep at n=20k, and the
-C wave kernel >= 1.5x over the numpy engine when it builds.
+path metrics >= 4x over the naive per-source full sweep at n=20k, the
+C wave kernel >= 1.5x over the numpy engine and the C pairing kernel >= 3x
+over the Python pairing model when they build.
 
 Run directly for a quick smoke with a wall-clock bound (used by CI)::
 
     python benchmarks/bench_graph_kernels.py --sizes 1000 --soap-n 2000 \
         --multiword-n 1000 --multiword-sources 128 --ring-n 4000 \
-        --full-path-n 1500 --shard-n 2000 --shard-workers 2 --max-seconds 150
+        --full-path-n 1500 --shard-n 2000 --shard-workers 2 --wiring-n 500 \
+        --max-seconds 150
 """
 
 from __future__ import annotations
@@ -92,6 +98,11 @@ FULL_PATH_SPEEDUP_FLOOR = 4.0
 #: A tripwire, well under the ~2.5-3x measured on a 2-vCPU x86-64 box.
 NATIVE_WAVE_SPEEDUP_FLOOR = 1.5
 NATIVE_WAVE_REPEATS = 3
+#: A tripwire, well under the ~16-18x measured on a 2-vCPU x86-64 box.
+NATIVE_WIRING_SPEEDUP_FLOOR = 3.0
+NATIVE_WIRING_N = 20_000
+NATIVE_WIRING_KS = (8, 10)
+NATIVE_WIRING_REPEATS = 2
 
 FULL_CLOSENESS_N = 100_000
 SPARSE_FRONTIER_N = 100_000
@@ -127,7 +138,7 @@ FULL_PATH_GOLDEN_100K = {
 }
 
 #: Ordinal of this PR's entry in the ``runs`` trajectory.
-PR_LABEL = "PR 13"
+PR_LABEL = "PR 14"
 
 
 def _workload(module, graph, *, connected_components=True, diameter=True):
@@ -501,16 +512,16 @@ def run_full_path_metrics_benchmark(n=FULL_PATH_N, *, emit=print) -> dict:
 
 
 @contextmanager
-def _numpy_wave_engine():
-    """Run exact path metrics on the numpy engine, as without a C compiler."""
-    from repro.graphs import _wave_native
+def _without_native_library():
+    """Run as without a C compiler: numpy waves and Python wiring."""
+    from repro.graphs import _native
 
-    original = _wave_native.load
-    _wave_native.load = lambda: None
+    original = _native.load
+    _native.load = lambda: None
     try:
         yield
     finally:
-        _wave_native.load = original
+        _native.load = original
 
 
 def run_native_wave_benchmark(
@@ -534,7 +545,7 @@ def run_native_wave_benchmark(
             seconds.append(time.perf_counter() - started)
         return min(seconds), result
 
-    with _numpy_wave_engine():
+    with _without_native_library():
         numpy_seconds, expected = best_of(repeats)
     row = {
         "n": n,
@@ -560,11 +571,54 @@ def run_native_wave_benchmark(
     return row
 
 
+def run_native_wiring_benchmark(
+    n=NATIVE_WIRING_N, ks=NATIVE_WIRING_KS, *, repeats=NATIVE_WIRING_REPEATS,
+    emit=print,
+) -> list:
+    """``k_regular_graph(n, k)``: the Python pairing model vs the C kernel."""
+    from repro.graphs import generators
+
+    def best_of(k, repeats):
+        seconds = []
+        for _ in range(repeats):
+            rng = random.Random(7000 + k)
+            started = time.perf_counter()
+            graph = generators.k_regular_graph(n, k, rng=rng)
+            seconds.append(time.perf_counter() - started)
+        rows = [list(neighbors) for neighbors in graph._adjacency.values()]
+        return min(seconds), (rows, graph.mutation_stamp, rng.getstate())
+
+    kernel = generators.wiring_kernel()  # load and self-probe outside the timing
+    results = []
+    for k in ks:
+        with _without_native_library():
+            python_seconds, expected = best_of(k, repeats)
+        row = {
+            "n": n,
+            "k": k,
+            "repeats": repeats,
+            "python_seconds": round(python_seconds, 6),
+            "native_seconds": None,
+            "speedup": None,
+        }
+        if kernel == "native":
+            native_seconds, wired = best_of(k, repeats)
+            assert wired == expected, f"native wiring differs at n={n} k={k}"
+            row["native_seconds"] = round(native_seconds, 6)
+            row["speedup"] = round(python_seconds / native_seconds, 2)
+        emit(
+            f"native-wiring n={n:>7,} k={k:>2}  python={python_seconds:8.3f}s  "
+            f"native={row['native_seconds']}s  speedup={row['speedup']}x"
+        )
+        results.append(row)
+    return results
+
+
 def machine_fingerprint() -> dict:
     """CPU, interpreter, numpy and kernel selections the timings ran on."""
     import numpy
 
-    from repro.graphs import fast
+    from repro.graphs import fast, generators
 
     model = platform.processor() or platform.machine()
     try:
@@ -582,6 +636,7 @@ def machine_fingerprint() -> dict:
         "numpy": numpy.__version__,
         "popcount_backend": fast._POPCOUNT_BACKEND,
         "wave_kernel": fast.wave_kernel(),
+        "wiring_kernel": generators.wiring_kernel(),
     }
 
 
@@ -664,7 +719,7 @@ def run_soap_benchmark(n=SOAP_N, *, repeats=SOAP_REPEATS, emit=print) -> dict:
 
 
 def run_benchmark(sizes=SIZES, *, emit=print) -> dict:
-    """All seven workloads; returns this PR's trajectory entry."""
+    """All eight workloads; returns this PR's trajectory entry."""
     return {
         "pr": PR_LABEL,
         "workload": "connected_components + sampled diameter "
@@ -672,7 +727,8 @@ def run_benchmark(sizes=SIZES, *, emit=print) -> dict:
         "batched multi-source BFS; SOAP campaign; full-population closeness "
         "(adaptive multi-word frontier engine vs PR 3 wave); ring-graph "
         "sparse-frontier diameter; exact full-population path metrics "
-        "(one-campaign accumulators vs naive per-source sweep)",
+        "(one-campaign accumulators vs naive per-source sweep); "
+        "numpy vs C wave kernel; Python vs C k-regular pairing model",
         "timing": "best-of-repeats wall clock; fast timings include the "
         "UndirectedGraph->CSR conversion (cold cache); SOAP timed with GC off; "
         "wave-engine comparisons share one warm CSR mirror",
@@ -683,6 +739,7 @@ def run_benchmark(sizes=SIZES, *, emit=print) -> dict:
         "sparse_frontier": run_sparse_frontier_benchmark(emit=emit),
         "full_path_metrics": run_full_path_metrics_benchmark(emit=emit),
         "native_wave": run_native_wave_benchmark(emit=emit),
+        "native_wiring": run_native_wiring_benchmark(emit=emit),
     }
 
 
@@ -769,6 +826,12 @@ def test_graph_kernel_speedup(benchmark):
             f"C wave kernel only {native['speedup']}x over the numpy engine "
             f"at n={native['n']}"
         )
+    for row in entry["native_wiring"]:
+        if row["speedup"] is not None:
+            assert row["speedup"] >= NATIVE_WIRING_SPEEDUP_FLOOR, (
+                f"C pairing kernel only {row['speedup']}x over the Python "
+                f"pairing model at n={row['n']} k={row['k']}"
+            )
 
 
 def main(argv=None) -> int:
@@ -831,6 +894,12 @@ def main(argv=None) -> int:
         help="pool workers for the sharded smoke (default: 2)",
     )
     parser.add_argument(
+        "--wiring-n",
+        type=int,
+        default=None,
+        help="smoke the Python-vs-native k-regular wiring row at this size",
+    )
+    parser.add_argument(
         "--max-seconds",
         type=float,
         default=None,
@@ -877,6 +946,8 @@ def main(argv=None) -> int:
         entry["sharded_path_smoke"] = run_sharded_path_smoke(
             args.shard_n, args.shard_workers
         )
+    if args.wiring_n:
+        entry["native_wiring"] = run_native_wiring_benchmark(args.wiring_n, repeats=1)
     elapsed = time.perf_counter() - started
     if args.json:
         write_report(entry)

@@ -70,6 +70,9 @@ def _serial_campaign():
 
 def test_persistent_pool_campaign(benchmark):
     """Persistent path: one spin-up, one shm re-publication per checkpoint."""
+    # Retire any pool an earlier benchmark left warm, so this campaign's
+    # spin-up lands inside the collector.
+    shutdown_pools()
     with telemetry.collecting() as collector:
         pooled = benchmark.pedantic(
             lambda: _campaign(fresh_pool_per_checkpoint=False),

@@ -76,6 +76,12 @@ def _series_points(runs: List[dict]) -> Dict[str, List[Tuple[int, float]]]:
         native = run.get("native_wave")
         if native:
             add(f"C wave kernel n={native['n']:,}", index, native.get("speedup"))
+        for row in run.get("native_wiring", []):
+            add(
+                f"C pairing kernel n={row['n']:,} k={row['k']}",
+                index,
+                row.get("speedup"),
+            )
     return series
 
 
@@ -87,12 +93,15 @@ def render_machines(labels: List[str], runs: List[dict]) -> List[str]:
         if not machine:
             lines.append(f"- {label}: not recorded")
             continue
-        lines.append(
+        line = (
             f"- {label}: {machine.get('cpu_count')} x {machine.get('cpu_model')}, "
             f"Python {machine.get('python')}, numpy {machine.get('numpy')}, "
             f"popcount {machine.get('popcount_backend')}, "
             f"wave kernel {machine.get('wave_kernel')}"
         )
+        if "wiring_kernel" in machine:
+            line += f", wiring kernel {machine['wiring_kernel']}"
+        lines.append(line)
     lines.append("")
     return lines
 

@@ -1,4 +1,19 @@
 /*
+ * Native kernels of repro.graphs, built into one shared library by
+ * repro.graphs._native on first use:
+ *
+ *   repro_wave_accumulate -- a fused multi-source BFS wave for exact path
+ *                            metrics (repro.graphs.fast);
+ *   repro_pair_stubs      -- one attempt of the k-regular pairing model
+ *                            (repro.graphs.generators).
+ *
+ * Each returns exactly what its Python/numpy counterpart returns; those stay
+ * the fallbacks and the differential oracles.
+ *
+ * Build: cc -O3 -shared -fPIC _native.c -o <name>.so
+ */
+
+/*
  * Fused bit-parallel multi-source BFS wave for exact path metrics.
  *
  * One call runs one whole wave: up to 64 * words BFS sources advance
@@ -17,9 +32,6 @@
  * accumulators repro.graphs.fast.accumulate_path_shard builds with the
  * numpy engine.  Both engines visit the same (source, node) pairs at the
  * same depths, so the integers are identical.
- *
- * Build: cc -O3 -shared -fPIC _wave_native.c -o <name>.so
- * (repro.graphs._wave_native does this on first use).
  */
 
 #include <stdint.h>
@@ -226,4 +238,174 @@ int repro_wave_accumulate(
     if (words == 4)
         return wave(n, indptr, indices, sources, batch, 4, ecc, totals, stats);
     return wave(n, indptr, indices, sources, batch, words, ecc, totals, stats);
+}
+
+/*
+ * CPython's random.Random, word for word: the MT19937 generator of
+ * Modules/_randommodule.c and the pure-Python helpers of Lib/random.py that
+ * the pairing model calls.  The state is the one getstate() exposes: 624
+ * words followed by the index of the next word to temper.
+ */
+enum { MT_N = 624, MT_M = 397 };
+
+typedef struct {
+    uint32_t mt[MT_N];
+    uint32_t index;
+} mt_state;
+
+static uint32_t genrand_uint32(mt_state *s)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t *mt = s->mt;
+    uint32_t y;
+    if (s->index >= MT_N) {
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        s->index = 0;
+    }
+    y = mt[s->index++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* Random._randbelow_with_getrandbits(n) for 0 < n < 2**31: getrandbits(k)
+ * with k = n.bit_length() <= 32 is the top k bits of one word. */
+static uint32_t randbelow(mt_state *s, uint32_t n)
+{
+    int k = 32 - __builtin_clz(n);
+    uint32_t r = genrand_uint32(s) >> (32 - k);
+    while (r >= n)
+        r = genrand_uint32(s) >> (32 - k);
+    return r;
+}
+
+/* Index of the 0-based rank-th live slot of a Fenwick tree over 0/1 counts;
+ * `high` is the largest power of two <= size. */
+static int32_t fenwick_select(const int32_t *tree, int32_t size, int32_t high, int32_t rank)
+{
+    int32_t position = 0;
+    for (int32_t step = high; step; step >>= 1) {
+        int32_t next = position + step;
+        if (next <= size && tree[next] <= rank) {
+            position = next;
+            rank -= tree[next];
+        }
+    }
+    return position; /* 1-based position minus one: the slot index */
+}
+
+static void fenwick_remove(int32_t *tree, int32_t size, int32_t slot)
+{
+    for (int32_t i = slot + 1; i <= size; i += i & -i)
+        tree[i]--;
+}
+
+/*
+ * One attempt of repro.graphs.generators._try_pairing_model on nodes
+ * 0..n-1: the stub list [0]*k + [1]*k + ... is shuffled, then each stub
+ * popped off its end is matched to a uniformly drawn remaining stub, up to
+ * len(stubs) draws, rejecting self-loops and repeated edges.  The RNG draws,
+ * and so the graph, are the Python generator's exactly: stubs.pop(index)
+ * becomes a Fenwick-tree select of the index-th live slot, and has_edge a
+ * scan of the node's placed neighbours.
+ *
+ * `state` holds the 625 words of random.Random.getstate()[1] and is
+ * advanced in place.  On success row u of `adjacency` (n x k) lists u's
+ * neighbours in the order they were added.  Returns 0 on success, 1 when
+ * the attempt gets stuck (the Python attempt's None), or -1 when it cannot
+ * run -- 0 < k < n with n * k even and below 2**31 is violated, or the work
+ * buffers cannot be allocated -- leaving state and adjacency untouched.
+ */
+int repro_pair_stubs(int64_t n, int64_t k, uint32_t *state, int32_t *adjacency)
+{
+    if (k <= 0 || n <= k || n * k > INT32_MAX || (n * k) % 2)
+        return -1;
+    const int32_t size = (int32_t)(n * k);
+    int32_t *stubs = malloc((size_t)size * sizeof(int32_t));
+    int32_t *tree = calloc((size_t)size + 1, sizeof(int32_t));
+    int32_t *degree = calloc((size_t)n, sizeof(int32_t));
+    if (!stubs || !tree || !degree) {
+        free(stubs);
+        free(tree);
+        free(degree);
+        return -1;
+    }
+    mt_state rng;
+    memcpy(rng.mt, state, sizeof(rng.mt));
+    rng.index = state[MT_N];
+
+    for (int32_t i = 0; i < size; i++)
+        stubs[i] = (int32_t)(i / k);
+    for (int32_t i = size - 1; i > 0; i--) {
+        int32_t j = (int32_t)randbelow(&rng, (uint32_t)i + 1);
+        int32_t swap = stubs[i];
+        stubs[i] = stubs[j];
+        stubs[j] = swap;
+    }
+    /* Every slot live: tree[i] covers slots (i - lowbit(i), i].  A removed
+     * stub's slot is set to -1. */
+    for (int32_t i = 1; i <= size; i++)
+        tree[i] = i & -i;
+    int32_t high = 1;
+    while (high <= size / 2)
+        high <<= 1;
+
+    int status = 0;
+    int32_t remaining = size;
+    int32_t top = size - 1; /* highest live slot */
+    while (remaining > 0) {
+        int32_t u = stubs[top];
+        stubs[top] = -1;
+        fenwick_remove(tree, size, top);
+        remaining--;
+        while (top > 0 && stubs[top] < 0)
+            top--;
+        int32_t *row_u = adjacency + (int64_t)u * k;
+        int placed = 0;
+        for (int32_t attempt = 0; attempt < remaining && !placed; attempt++) {
+            int32_t slot = fenwick_select(tree, size, high,
+                                          (int32_t)randbelow(&rng, (uint32_t)remaining));
+            int32_t v = stubs[slot];
+            if (v == u)
+                continue;
+            int duplicate = 0;
+            for (int32_t e = 0; e < degree[u]; e++)
+                if (row_u[e] == v) {
+                    duplicate = 1;
+                    break;
+                }
+            if (duplicate)
+                continue;
+            stubs[slot] = -1;
+            fenwick_remove(tree, size, slot);
+            remaining--;
+            while (top > 0 && stubs[top] < 0)
+                top--;
+            row_u[degree[u]++] = v;
+            adjacency[(int64_t)v * k + degree[v]++] = u;
+            placed = 1;
+        }
+        if (!placed) {
+            status = 1;
+            break;
+        }
+    }
+    memcpy(state, rng.mt, sizeof(rng.mt));
+    state[MT_N] = rng.index;
+    free(stubs);
+    free(tree);
+    free(degree);
+    return status;
 }

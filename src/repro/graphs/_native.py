@@ -1,10 +1,13 @@
-"""Build-on-first-use loader for the fused C wave kernel (``_wave_native.c``).
+"""Build-on-first-use loader for the native kernels (``_native.c``).
 
-:func:`load` returns the kernel's ``ctypes`` function, or ``None`` when it
-cannot be had -- no C compiler, a failed build, an unloadable library --
-in which case :mod:`repro.graphs.fast` runs its numpy engine, which returns
-the same integers.  Nothing happens at import: the first :func:`load` call
-compiles (or finds) the library and the answer is kept for the process.
+:func:`load` returns the shared library as a ``ctypes.CDLL``, or ``None``
+when it cannot be had -- no C compiler, a failed build, an unloadable
+library.  Each caller binds its own symbol and keeps a pure-Python or
+numpy fallback that returns the same values: :mod:`repro.graphs.fast`
+binds ``repro_wave_accumulate`` (exact path-metric waves) and
+:mod:`repro.graphs.generators` binds ``repro_pair_stubs`` (k-regular
+wiring).  Nothing happens at import: the first :func:`load` call compiles
+(or finds) the library and the answer is kept for the process.
 
 The shared object is built with ``$CC`` (default ``cc``) and the portable
 flags in :data:`FLAGS` -- no ``-march=native``, because the cache may be
@@ -16,8 +19,8 @@ carries a digest of the library's own bytes, checked before every load
 ``${XDG_CACHE_HOME:-~/.cache}/repro/`` (created ``0700`` and required to
 belong to the current user), falling back to a private temporary directory
 when that is unusable.  Each build writes a unique temporary file and
-``os.replace``-s it into place, so pool workers resolving the kernel at
-the same moment cannot see a half-written library.
+``os.replace``-s it into place, so pool workers resolving the library at
+the same moment cannot see a half-written file.
 """
 
 from __future__ import annotations
@@ -31,29 +34,25 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-SOURCE = Path(__file__).with_name("_wave_native.c")
+SOURCE = Path(__file__).with_name("_native.c")
 
 #: Compiler flags; part of the library's content hash.
 FLAGS = ("-O3", "-shared", "-fPIC")
 
-#: Length of the per-call statistics vector the kernel fills: levels, push
-#: levels, pull levels, newly reached rows.
-STAT_COUNT = 4
-
 _UNRESOLVED = object()
-_kernel = _UNRESOLVED
+_library = _UNRESOLVED
 
 
-def load():
-    """The ``repro_wave_accumulate`` function, or ``None`` (numpy fallback).
+def load() -> Optional[ctypes.CDLL]:
+    """The native library, or ``None`` (callers use their fallbacks).
 
     Resolved once per process; every failure mode degrades to ``None``
     rather than raising.
     """
-    global _kernel
-    if _kernel is _UNRESOLVED:
-        _kernel = _resolve()
-    return _kernel
+    global _library
+    if _library is _UNRESOLVED:
+        _library = _resolve()
+    return _library
 
 
 def _resolve():
@@ -77,13 +76,9 @@ def _resolve():
     if library is None:
         return None
     try:
-        function = ctypes.CDLL(str(library)).repro_wave_accumulate
-    except (OSError, AttributeError):
+        return ctypes.CDLL(str(library))
+    except OSError:
         return None
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    function.argtypes = [i64, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr]
-    function.restype = ctypes.c_int
-    return function
 
 
 def _cache_dir() -> Optional[Path]:
@@ -100,7 +95,7 @@ def _cache_dir() -> Optional[Path]:
     except OSError:
         pass
     try:
-        return Path(tempfile.mkdtemp(prefix="repro-wave-"))
+        return Path(tempfile.mkdtemp(prefix="repro-native-"))
     except OSError:
         return None
 
@@ -116,7 +111,7 @@ def _cached(directory: Path, key: str) -> Optional[Path]:
     failing, so a build is named by its own content digest and checked
     against it before it is loaded; a damaged file is skipped (and rebuilt).
     """
-    for path in sorted(directory.glob(f"wave-{key}-*.so")):
+    for path in sorted(directory.glob(f"native-{key}-*.so")):
         try:
             if path.stem.rsplit("-", 1)[1] == _content_digest(path):
                 return path
@@ -141,7 +136,7 @@ def _build(compiler, directory: Path, key: str) -> Optional[Path]:
             timeout=120,
             check=True,
         )
-        library = directory / f"wave-{key}-{_content_digest(Path(scratch))}.so"
+        library = directory / f"native-{key}-{_content_digest(Path(scratch))}.so"
         os.replace(scratch, library)
         return library
     except (OSError, subprocess.SubprocessError):

@@ -25,9 +25,10 @@ vectorized kernels over it:
   (:func:`full_path_metrics`, :func:`path_length_accumulators`); the int64
   accumulators merge exactly across any source split, which is what the
   runner's source-sharded parallel campaigns exploit.  These waves run one
-  C call each (:mod:`repro.graphs._wave_native`, a direction-optimizing
-  push/pull kernel built with the local C compiler on first use) and fall
-  back to the numpy engine above when no compiler is available;
+  C call each (``repro_wave_accumulate`` in :mod:`repro.graphs._native`, a
+  direction-optimizing push/pull kernel built with the local C compiler on
+  first use) and fall back to the numpy engine above when no compiler is
+  available;
   :func:`wave_kernel` names the engine in use.  Selection is automatic,
   both engines add the same integers, and the numpy engine is the
   differential oracle the native kernel is tested against,
@@ -52,6 +53,7 @@ every ``i < n`` -- and the kernels below never filter removed nodes.
 
 from __future__ import annotations
 
+import ctypes
 import random
 import sys
 import time
@@ -969,15 +971,34 @@ def _full_population_closeness(csr: CSRGraph, n: int) -> float:
 # ----------------------------------------------------------------------
 # Exact full-population path metrics (eccentricity / diameter / ASPL)
 # ----------------------------------------------------------------------
+#: Length of the per-call statistics vector the C wave kernel fills: levels,
+#: push levels, pull levels, newly reached rows.
+_WAVE_STAT_COUNT = 4
+
+
+def _native_wave():
+    """The bound ``repro_wave_accumulate`` function, or ``None`` (numpy)."""
+    # Imported on first use: importing this module must not pay for the
+    # loader's compiler-probing machinery.
+    from repro.graphs import _native
+
+    library = _native.load()
+    if library is None:
+        return None
+    function = library.repro_wave_accumulate
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    function.argtypes = [i64, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr]
+    function.restype = ctypes.c_int
+    return function
+
+
 def wave_kernel() -> str:
     """The engine exact path metrics run on: ``"native"`` or ``"numpy"``.
 
     ``"native"`` when the C wave kernel builds and loads (the first call
     may compile it), ``"numpy"`` otherwise.  Both return identical integers.
     """
-    from repro.graphs import _wave_native
-
-    return "numpy" if _wave_native.load() is None else "native"
+    return "numpy" if _native_wave() is None else "native"
 
 
 def _native_wave_batch(csr: CSRGraph) -> int:
@@ -1010,13 +1031,9 @@ def _accumulate_waves(
     one C call per chunk when the native kernel loads, else the numpy
     :func:`_batched_wave` engine; both add the same integers.
     """
-    # Imported on first use: importing this module must not pay for the
-    # loader's compiler-probing machinery.
-    from repro.graphs import _wave_native
-
     if sources.size == 0:
         return
-    kernel = _wave_native.load()
+    kernel = _native_wave()
     tel = _telemetry()
     if tel.enabled:
         tel.gauge("wave.kernel", "numpy" if kernel is None else "native")
@@ -1039,7 +1056,7 @@ def _accumulate_waves(
     indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
     indices = np.ascontiguousarray(csr.indices, dtype=np.int32)
     sources = np.ascontiguousarray(sources, dtype=np.int64)
-    stats = np.zeros(_wave_native.STAT_COUNT, dtype=np.int64)
+    stats = np.zeros(_WAVE_STAT_COUNT, dtype=np.int64)
     chunk_size = _native_wave_batch(csr)
     for offset in range(0, sources.size, chunk_size):
         chunk = sources[offset:offset + chunk_size]

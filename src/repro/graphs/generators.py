@@ -6,16 +6,38 @@ on :class:`~repro.graphs.adjacency.UndirectedGraph` (so the overlay never needs
 ``networkx`` at runtime) plus Erdos--Renyi and Barabasi--Albert generators used
 for robustness checks and ablations.  Conversion helpers to and from
 ``networkx`` support cross-validation in the test-suite.
+
+Each pairing attempt of :func:`k_regular_graph` runs in one C call
+(``repro_pair_stubs`` in :mod:`repro.graphs._native`) when that reproduces
+the pure-Python attempt exactly: same graph, same set iteration order, same
+``mutation_stamp`` and the same RNG state afterwards.  The kernel re-implements
+CPython's Mersenne Twister and ``shuffle``/``randrange``, so it runs only for
+a plain :class:`random.Random` (not a subclass, not ``SystemRandom``) with a
+version-3 state, for ``n * k < 2**31``, and only once a per-process self-probe
+has wired a graph that needs restarts identically with both engines.
+Otherwise -- no C compiler included -- the pure-Python pairing model runs; it
+is the differential oracle the kernel is tested against.
+:func:`wiring_kernel` names the engine in use.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import Iterable, Optional
+from array import array
+from typing import Callable, Iterable, Optional
 
 import networkx as nx
 
 from repro.graphs.adjacency import GraphError, UndirectedGraph
+from repro.obs.telemetry import current as _telemetry
+
+#: ``(n, k, seed)`` of the self-probe's wiring: the Python generator needs six
+#: pairing attempts for it, so the probe also covers failed attempts.
+_PROBE = (12, 5, 36)
+
+#: Whether the native pairing kernel passed the self-probe (``None``: not run).
+_probe_passed: Optional[bool] = None
 
 
 def _resolve_rng(rng: Optional[random.Random], seed: Optional[int]) -> random.Random:
@@ -52,8 +74,72 @@ def k_regular_graph(
     if k == 0:
         return UndirectedGraph(nodes=range(n))
 
+    exact = type(rng) is random.Random and n * k < 2**31 and rng.getstate()[0] == 3
+    pair_stubs = _pair_stubs() if exact else None
+    tel = _telemetry()
+    if tel.enabled:
+        tel.gauge("wiring.kernel", "python" if pair_stubs is None else "native")
+    attempt = _try_pairing_model
+    if pair_stubs is not None:
+        attempt = functools.partial(_try_native_pairing, pair_stubs)
+    return _wire(n, k, rng, max_attempts, attempt)
+
+
+def wiring_kernel() -> str:
+    """The engine :func:`k_regular_graph` wires with: ``"native"`` or ``"python"``.
+
+    ``"native"`` when the C pairing kernel builds, loads and passes its
+    self-probe (the first call may compile it), ``"python"`` otherwise.  It
+    names the engine for a plain :class:`random.Random`; other generators
+    always take the Python path.  Both engines wire identical graphs.
+    """
+    return "python" if _pair_stubs() is None else "native"
+
+
+def _pair_stubs():
+    """The bound ``repro_pair_stubs`` function, or ``None`` (Python engine)."""
+    global _probe_passed
+    # Imported on first use: importing this module must not pay for the
+    # loader's compiler-probing machinery.
+    import ctypes
+
+    from repro.graphs import _native
+
+    library = _native.load()
+    if library is None:
+        return None
+    function = library.repro_pair_stubs
+    function.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+    function.restype = ctypes.c_int
+    if _probe_passed is None:
+        _probe_passed = _agrees_with_python(function)
+    return function if _probe_passed else None
+
+
+def _agrees_with_python(pair_stubs) -> bool:
+    """Whether the kernel wires the probe graph exactly as the Python model."""
+    n, k, seed = _PROBE
+
+    def wire(attempt):
+        rng = random.Random(seed)
+        graph = _wire(n, k, rng, 200, attempt)
+        rows = [(node, list(neighbors)) for node, neighbors in graph._adjacency.items()]
+        return rows, graph.mutation_stamp, rng.getstate()
+
+    native = wire(functools.partial(_try_native_pairing, pair_stubs))
+    return native == wire(_try_pairing_model)
+
+
+def _wire(
+    n: int,
+    k: int,
+    rng: random.Random,
+    max_attempts: int,
+    attempt: Callable[[int, int, random.Random], Optional[UndirectedGraph]],
+) -> UndirectedGraph:
+    """Up to ``max_attempts`` pairing attempts, then the networkx fallback."""
     for _ in range(max_attempts):
-        graph = _try_pairing_model(n, k, rng)
+        graph = attempt(n, k, rng)
         if graph is not None:
             return graph
     # Fall back to networkx's generator, which uses a smarter algorithm and
@@ -83,6 +169,31 @@ def _try_pairing_model(n: int, k: int, rng: random.Random) -> Optional[Undirecte
             return None
     if any(graph.degree(node) != k for node in range(n)):
         return None
+    return graph
+
+
+def _try_native_pairing(
+    pair_stubs, n: int, k: int, rng: random.Random
+) -> Optional[UndirectedGraph]:
+    """:func:`_try_pairing_model` in one C call, leaving ``rng`` in the same state."""
+    version, internal, gauss_next = rng.getstate()
+    state = array("I", internal)
+    adjacency = array("i", [0]) * (n * k)
+    status = pair_stubs(n, k, state.buffer_info()[0], adjacency.buffer_info()[0])
+    if status < 0:  # the kernel could not allocate its buffers; rng is untouched
+        return _try_pairing_model(n, k, rng)
+    rng.setstate((version, tuple(state), gauss_next))
+    if status:
+        return None
+    # Row u lists u's neighbours in the order the Python model adds them,
+    # so each set is built by the same insertions and iterates identically.
+    # Entries map onto one int object per node, as the Python model's do,
+    # rather than one per adjacency slot.
+    nodes = list(range(n))
+    flat = list(map(nodes.__getitem__, adjacency))
+    graph = UndirectedGraph()
+    graph._adjacency = {u: set(flat[u * k:(u + 1) * k]) for u in nodes}
+    graph._mutations = n + n * k // 2  # n add_node calls, n*k/2 add_edge calls
     return graph
 
 

@@ -103,3 +103,22 @@ def test_machine_fingerprints_and_native_series_are_rendered(tmp_path):
         "- newer: 2 x Example CPU, Python 3.11.7, numpy 2.4.6, "
         "popcount native, wave kernel native"
     ) in table
+
+
+def test_native_wiring_series_is_rendered():
+    runs = [
+        {"pr": "older", "rows": [{"n": 1000, "speedup": 21.0}]},
+        {
+            "pr": "newer",
+            "rows": [{"n": 1000, "speedup": 20.0}],
+            "native_wiring": [
+                {"n": 20000, "k": 8, "speedup": 8.5},
+                {"n": 20000, "k": 10, "speedup": None},
+            ],
+        },
+    ]
+    runs[1]["machine"] = {"cpu_count": 2, "wave_kernel": "native", "wiring_kernel": "native"}
+    table = report_trajectory.render_markdown(runs)
+    assert "| C pairing kernel n=20,000 k=8 | — | 8.5x |" in table
+    assert "k=10" not in table  # no native timing, no series
+    assert "wave kernel native, wiring kernel native" in table

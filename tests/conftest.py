@@ -57,17 +57,17 @@ def numpy_wave_engine(monkeypatch):
     Patches the native-kernel loader to report "unavailable", the same
     state a machine without a C compiler is in.
     """
-    from repro.graphs import _wave_native
+    from repro.graphs import _native
 
-    monkeypatch.setattr(_wave_native, "load", lambda: None)
+    monkeypatch.setattr(_native, "load", lambda: None)
 
 
 @pytest.fixture
 def native_wave_engine():
     """Skip the test unless the native wave kernel builds and loads here."""
-    from repro.graphs import _wave_native
+    from repro.graphs import _native
 
-    if _wave_native.load() is None:
+    if _native.load() is None:
         pytest.skip("native wave kernel unavailable (no working C compiler)")
 
 

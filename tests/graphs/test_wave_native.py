@@ -1,6 +1,6 @@
 """The fused C wave kernel against its oracle, the numpy wave engine.
 
-Exact path metrics run on :mod:`repro.graphs._wave_native` when a C
+Exact path metrics run on :mod:`repro.graphs._native` when a C
 compiler builds it, else on :func:`repro.graphs.fast._batched_wave`.  The
 two must return the same int64 accumulators array for array, on every
 topology, source set and wave width, and every way of failing to get the
@@ -18,7 +18,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.graphs import _wave_native, backend, fast
+from repro.graphs import _native, backend, fast
 from repro.graphs.adjacency import UndirectedGraph
 from repro.graphs.generators import k_regular_graph, ring_graph
 
@@ -59,7 +59,7 @@ def csr(request):
 
 def _numpy(call, monkeypatch, *args):
     with monkeypatch.context() as patch:
-        patch.setattr(_wave_native, "load", lambda: None)
+        patch.setattr(_native, "load", lambda: None)
         return call(*args)
 
 
@@ -137,7 +137,7 @@ def test_out_of_range_source_is_rejected(native_wave_engine):
 @pytest.fixture
 def fresh_loader(monkeypatch, tmp_path):
     """Unresolved loader state, with the library cache under ``tmp_path``."""
-    monkeypatch.setattr(_wave_native, "_kernel", _wave_native._UNRESOLVED)
+    monkeypatch.setattr(_native, "_library", _native._UNRESOLVED)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.delenv("CC", raising=False)
     return tmp_path
@@ -170,7 +170,7 @@ def test_unusable_cache_dir_builds_in_a_private_temp_dir(
     monkeypatch.setattr("tempfile.tempdir", str(fresh_loader / "tmp"))
     (fresh_loader / "tmp").mkdir()
     _assert_runs_exactly_on("native", monkeypatch)
-    assert [p.name[:11] for p in (fresh_loader / "tmp").iterdir()] == ["repro-wave-"]
+    assert [p.name[:13] for p in (fresh_loader / "tmp").iterdir()] == ["repro-native-"]
 
 
 def test_cache_dir_owned_by_someone_else_is_not_used(
@@ -182,7 +182,7 @@ def test_cache_dir_owned_by_someone_else_is_not_used(
     (fresh_loader / "tmp").mkdir()
     _assert_runs_exactly_on("native", monkeypatch)
     assert list((fresh_loader / "cache" / "repro").iterdir()) == []
-    assert [p.name[:11] for p in (fresh_loader / "tmp").iterdir()] == ["repro-wave-"]
+    assert [p.name[:13] for p in (fresh_loader / "tmp").iterdir()] == ["repro-native-"]
 
 
 def test_no_writable_dir_at_all_falls_back_to_numpy(fresh_loader, monkeypatch):
@@ -201,9 +201,9 @@ def _build_in_subprocess(cache: Path) -> Path:
     """
     env = dict(os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=SRC)
     env.pop("CC", None)
-    code = "from repro.graphs import _wave_native; assert _wave_native.load()"
+    code = "from repro.graphs import _native; assert _native.load()"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=180)
-    (library,) = (cache / "repro").glob("wave-*.so")
+    (library,) = (cache / "repro").glob("native-*.so")
     return library
 
 
@@ -243,10 +243,10 @@ def test_cache_is_private_and_build_is_reused(native_wave_engine, fresh_loader):
     assert fast.wave_kernel() == "native"
     cache = fresh_loader / "cache" / "repro"
     assert (cache.stat().st_mode & 0o777) == 0o700
-    (library,) = cache.glob("wave-*.so")
+    (library,) = cache.glob("native-*.so")
     assert not list(cache.glob(".build-*"))  # the temp name was renamed away
     stamp = library.stat().st_mtime_ns
-    _wave_native._kernel = _wave_native._UNRESOLVED
+    _native._library = _native._UNRESOLVED
     assert fast.wave_kernel() == "native"
     assert library.stat().st_mtime_ns == stamp  # found, not rebuilt
 
@@ -256,7 +256,7 @@ def test_import_neither_compiles_nor_loads(tmp_path):
     code = (
         "import sys\n"
         "import repro.graphs.fast\n"
-        "assert 'repro.graphs._wave_native' not in sys.modules\n"
+        "assert 'repro.graphs._native' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
     assert list(tmp_path.iterdir()) == []

@@ -22,13 +22,46 @@ from repro.runner.spec import ScenarioSpec
 
 def _engines(monkeypatch):
     """Yield each exact-path-metric engine this machine can run, pinned."""
-    from repro.graphs import _wave_native
+    from repro.graphs import _native
 
-    if _wave_native.load() is not None:
+    if _native.load() is not None:
         yield "native"
     with monkeypatch.context() as patch:
-        patch.setattr(_wave_native, "load", lambda: None)
+        patch.setattr(_native, "load", lambda: None)
         yield "numpy"
+
+
+def _wiring_engines(monkeypatch):
+    """Yield each k-regular wiring engine this machine can run, pinned."""
+    from repro.graphs import _native, generators
+
+    if generators.wiring_kernel() == "native":
+        yield "native"
+    with monkeypatch.context() as patch:
+        patch.setattr(_native, "load", lambda: None)
+        yield "python"
+
+
+class TestWiringDifferential:
+    def test_overlay_wired_identically_with_collection_on(self, monkeypatch):
+        import random
+
+        def wired():
+            rng = random.Random(17)
+            graph = k_regular_graph(500, 8, rng=rng)
+            rows = [(node, list(peers)) for node, peers in graph._adjacency.items()]
+            return rows, graph.mutation_stamp, rng.getstate()
+
+        dark = wired()
+        engines = []
+        for engine in _wiring_engines(monkeypatch):
+            assert wired() == dark
+            with telemetry.collecting() as collector:
+                lit = wired()
+            assert lit == dark
+            assert collector.snapshot()["gauges"]["wiring.kernel"] == engine
+            engines.append(engine)
+        assert engines[-1] == "python"
 
 
 class TestWaveCampaignDifferential:

@@ -449,7 +449,6 @@ class DDSROverlay:
         sample_size: "Optional[int]" = None,
         rng: "Optional[random.Random]" = None,
         closeness_sample: "Optional[int]" = None,
-        path_workers: int = 1,
     ) -> "dict":
         """Path metrics of the overlay's largest component, in one extraction.
 
@@ -459,15 +458,7 @@ class DDSROverlay:
         and closeness all come from one full-population wave campaign
         (:func:`repro.graphs.backend.full_path_metrics` -- per-node
         eccentricity max and distance sums accumulated as the waves advance),
-        affordable even at 100k nodes on the fast backend.  ``path_workers >
-        1`` additionally shards the campaign's sources across a process pool
-        (:func:`repro.runner.executor.sharded_full_path_metrics`); the merged
-        int64 accumulators make the parallel result bit-identical to serial.
-        A forced/auto-resolved *python* backend wins over ``path_workers``:
-        sharding is a fast-backend facility, and an explicit reference-path
-        request (or a graph below the auto threshold, where pool startup
-        dwarfs the campaign) runs the serial reference instead -- the values
-        are identical either way.
+        affordable even at 100k nodes on the fast backend.
 
         With a ``sample_size`` the component is extracted once and both path
         estimators run with ``connected=True`` on sampled sources;
@@ -487,16 +478,6 @@ class DDSROverlay:
                 "avg_closeness": 0.0,
             }
         if sample_size is None and closeness_sample is None:
-            if backend.resolve_for(graph) == "fast":
-                from repro.runner.executor import sharded_full_path_metrics
-                from repro.runner.journal import active_unit_scope
-
-                # The sharded path also carries sub-unit checkpoint
-                # journaling: inside a journaled campaign's in-parent unit
-                # it is taken even serially, so every exact checkpoint
-                # journals (and can replay) its accumulator shards.
-                if path_workers > 1 or active_unit_scope() is not None:
-                    return sharded_full_path_metrics(graph, workers=path_workers)
             return backend.full_path_metrics(graph)
         components, largest = backend.component_summary(graph)
         working = (

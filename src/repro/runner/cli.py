@@ -26,9 +26,9 @@ Crash safety: unless ``--no-journal`` is given, every cached run journals
 completed units under ``<cache-dir>/journals/<spec-hash>.jsonl`` (override
 with ``--journal PATH``); after a crash or ^C, ``--resume`` replays the
 journal's units verbatim and finishes the remainder, bit-identical to an
-uninterrupted run.  Journal schema v2 additionally records sub-unit
-checkpoint state, so a campaign killed *inside* a long unit re-enters it
-from its first incomplete path-metric checkpoint shard.  ``journal PATH``
+uninterrupted run.  The journal (schema v3) also records content-keyed
+sub-unit checkpoint state, so a campaign killed *inside* a long unit
+re-enters it from its first incomplete path-metric checkpoint shard.  ``journal PATH``
 inspects a journal without running anything: schema version, progress,
 whether ``--resume`` in the current environment would accept it (exit 0
 valid / 3 mismatched-or-corrupt).  ``--inject-faults SPEC`` arms the

@@ -145,20 +145,14 @@ def _run_shard(
     parent merges.  Collection is shard-scoped precisely so merging the
     returned snapshots can never double-count a long-lived worker.
 
-    Each unit runs under a sub-unit checkpoint scope
-    (:func:`repro.runner.journal.unit_scope`) and beats the parent
-    watchdog when it finishes.  Both are process-local no-ops in a pool
-    worker; they only bite when this function is the *degraded-serial
-    fallback* running in the parent of a journaled campaign -- there, a
-    long unit's path-metric checkpoints journal at shard granularity and
-    feed the drain's hang deadline.
+    Each unit beats the parent watchdog when it finishes: a no-op in a pool
+    worker, it feeds the drain's hang deadline when this function is the
+    *degraded-serial fallback* running in the parent.
     """
-    from repro.runner import journal as journal_mod
     from repro.runner import pool as pool_mod
 
     def one_unit(index: int, params: Mapping[str, Any], seed: int) -> Dict[str, float]:
-        with journal_mod.unit_scope(index):
-            metrics = run_unit(scenario_name, module, params, seed)
+        metrics = run_unit(scenario_name, module, params, seed)
         pool_mod.watchdog_beat()
         return metrics
 
@@ -284,11 +278,12 @@ def execute(
     against this spec and environment), so a campaign interrupted by a
     crash or ^C finishes with aggregates bit-identical to an uninterrupted
     run.  Journaled campaigns also checkpoint *inside* long units: exact
-    path-metric checkpoints computed in the parent process journal their
-    integer accumulators per shard (journal schema v2), and ``--resume``
-    re-enters a partially-finished unit from its first incomplete
-    checkpoint shard -- still bit-identical, because the accumulator
-    merges are exact-integer and order-free.  ``resume=True`` without a
+    path-metric checkpoints computed in the parent process
+    (:func:`sharded_full_path_metrics`) journal their integer accumulators
+    per shard, keyed by checkpoint content, and ``--resume`` re-enters a
+    partially-finished unit from its first incomplete checkpoint shard --
+    still bit-identical, because the accumulator merges are exact-integer
+    and order-free.  ``resume=True`` without a
     journal raises :class:`~repro.core.errors.ConfigError`.
 
     ``KeyboardInterrupt`` mid-campaign tears the worker pools down
@@ -329,7 +324,6 @@ def execute(
 
     jrnl = None
     replay: Dict[int, Dict[str, float]] = {}
-    saved_checkpoints: Dict[Tuple[int, int], Dict[str, Any]] = {}
     if journal is not None:
         from repro.runner.journal import CampaignJournal, journal_header
 
@@ -337,15 +331,6 @@ def execute(
         header = journal_header(spec, sc.version, len(units))
         if resume:
             replay = jrnl.resume_state(header)
-            # Sub-unit checkpoint states of units the journal did NOT
-            # finish: the replayed units above never recompute, so their
-            # checkpoint records are dead weight -- only partial units
-            # re-enter.
-            saved_checkpoints = {
-                key: value
-                for key, value in jrnl.checkpoints.items()
-                if key[0] not in replay
-            }
         jrnl.open(header, resume=resume)
     elif resume:
         raise ConfigError(
@@ -408,17 +393,15 @@ def execute(
     ckpt_replayed = 0
     ckpt_recorded = 0
     try:
-        with journal_mod.campaign_checkpoints(jrnl, saved_checkpoints) as ckpt_ctx:
+        with journal_mod.campaign_checkpoints(jrnl) as ckpt_ctx:
             try:
                 if pending and workers == 1:
                     from repro.runner.pool import parent_deadline
 
                     for unit in pending:
-                        # The unit scope lets in-parent path-metric
-                        # checkpoints journal at shard granularity; the
-                        # deadline bounds an in-parent hang the pool
+                        # The deadline bounds an in-parent hang the pool
                         # watchdog cannot see (there is no worker to kill).
-                        with journal_mod.unit_scope(unit.index), parent_deadline(
+                        with parent_deadline(
                             f"work unit {unit.index} of scenario {spec.name!r}"
                         ):
                             with tel.span("runner.unit"):
@@ -521,56 +504,53 @@ def sharded_full_path_metrics(
     workers: int = 1,
     shard_size: Optional[int] = None,
 ) -> Dict[str, float]:
-    """Exact full-population path metrics with sources sharded across workers.
+    """Exact full-population path metrics, pooled and journaled as needed.
 
-    The wave chunks of a full-population campaign are independent, so the
-    source set of :func:`repro.graphs.fast.full_path_metrics` splits cleanly
-    across a :class:`~concurrent.futures.ProcessPoolExecutor`: each worker
-    accumulates its shard's exact int64 ``(ecc, totals)`` and the parent
-    merges them (elementwise ``max`` / ``+``).  The accumulators are exact
-    integers, so ``workers=N`` is **bit-identical** to ``workers=1`` -- no
-    floating-point merge order to worry about.
+    The runner's one entry point for the exact diameter / ASPL / closeness
+    of :func:`repro.graphs.backend.full_path_metrics`; every route returns
+    the same values bit for bit:
 
-    ``shard_size`` caps the sources per worker submission (default: an even
-    ``ceil(sources / workers)`` split).  Requires the fast graph backend
-    (numpy); the serial ``workers=1`` call is just
-    ``fast.full_path_metrics(graph)``.
-
-    ``workers > 1`` runs on the invocation-wide persistent pool
-    (:func:`repro.runner.pool.get_pool`): the CSR arrays are published via
-    shared memory once per graph state (a checkpoint that mutated the graph
-    publishes fresh segments, an unchanged one reuses them), and pool
-    spin-up is paid once per invocation instead of once per checkpoint.
-
-    Inside a journaled campaign's in-parent work unit
-    (:func:`repro.runner.journal.active_unit_scope`), every completed shard
-    journals its serialized accumulators under a checkpoint-scoped content
-    hash, and a ``--resume`` re-run replays matching shards from the
-    journal instead of recomputing them (``runner.journal.ckpt_replayed``)
-    -- with ``workers=1`` the whole source set is one span, so the
-    journaled path stays bit-identical to the plain serial call.
+    * a graph that resolves to the *python* backend (a forced reference
+      request, or a graph below the auto threshold) runs the serial
+      reference; a forced ``fast`` backend without numpy raises
+      :class:`~repro.graphs.backend.BackendError`;
+    * inside a pool worker the campaign runs serially -- the unit fan-out
+      already occupies every worker;
+    * ``workers > 1`` splits the source set across the invocation-wide
+      persistent pool (:func:`repro.runner.pool.get_pool`): each worker
+      accumulates its shard's exact int64 ``(ecc, totals)`` over a CSR
+      published via shared memory once per graph state, and the parent
+      merges them (elementwise ``max`` / ``+``).  The accumulators are
+      exact integers, so no merge order can change the result.
+      ``shard_size`` caps the sources per submission (default: an even
+      ``ceil(sources / workers)`` split);
+    * inside a journaled campaign
+      (:func:`repro.runner.journal.campaign_checkpoints`) every completed
+      shard journals its serialized accumulators under the checkpoint's
+      content hash and source span, and a ``--resume`` re-run replays
+      matching shards instead of recomputing them
+      (``runner.journal.ckpt_replayed``).
     """
-    from repro.graphs import backend, fast
+    from repro.graphs import backend
     from repro.runner import journal as journal_mod
+    from repro.runner import pool as pool_mod
 
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if shard_size is not None and shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-    if not backend.fast_available():
-        raise backend.BackendError(
-            "sharded full-population path metrics need the fast graph "
-            "backend, but numpy is not importable"
-        )
-    scope = journal_mod.active_unit_scope()
-    if workers == 1 and scope is None:
+    if backend.resolve_for(graph) != "fast" or pool_mod.in_worker():
+        return backend.full_path_metrics(graph)
+    from repro.graphs import fast
+
+    checkpoints = journal_mod.active_checkpoints()
+    if workers == 1 and checkpoints is None:
         return fast.full_path_metrics(graph)
 
     def fan_out(working, csr, sources):
         import numpy as np
 
         from repro.runner import faults
-        from repro.runner import pool as pool_mod
 
         tel = _telemetry()
         faults.fault_point("executor.checkpoint")
@@ -585,15 +565,14 @@ def sharded_full_path_metrics(
         if not spans:
             return ecc, totals
 
-        # Sub-unit journaling: anchor this checkpoint to a content hash of
-        # the exact CSR snapshot + source set, and pull whatever spans a
-        # previous (interrupted) run already journaled for it.
+        # Sub-unit journaling: a shard's accumulators depend only on the
+        # exact CSR snapshot, the source set and the span, so the content
+        # hash of the first two plus the span identifies a journaled state.
         key = ""
-        seq = 0
-        saved_spans: Dict[Tuple[int, int], Any] = {}
-        if scope is not None:
+        saved_spans: Mapping[Tuple[int, int], Any] = {}
+        if checkpoints is not None:
             key = fast.accumulator_state_key(csr, sources)
-            seq, saved_spans = scope.begin_checkpoint(key)
+            saved_spans = checkpoints.saved_spans(key)
 
         pending: List[int] = []
         replayed = 0
@@ -613,8 +592,8 @@ def sharded_full_path_metrics(
                     span,
                 )
             pending.append(index)
-        if replayed and scope is not None:
-            scope.note_replayed(replayed)
+        if replayed:
+            checkpoints.note_replayed(replayed)
             pool_mod.watchdog_beat()
 
         # Completion order is irrelevant: integer max/sum merges are
@@ -628,12 +607,10 @@ def sharded_full_path_metrics(
                 )
             np.maximum(ecc, shard_ecc, out=ecc)
             np.add(totals, shard_totals, out=totals)
-            if scope is not None:
-                scope.record_shard(
-                    seq,
+            if checkpoints is not None:
+                checkpoints.record_shard(
                     key,
                     spans[index],
-                    len(spans),
                     fast.serialize_accumulators(shard_ecc, shard_totals),
                 )
             pool_mod.watchdog_beat()

@@ -10,19 +10,21 @@ folds into cache keys).  Every completed work unit appends one
 SIGKILL mid-campaign loses at most the record in flight), and a finished
 campaign appends a ``{"complete": true}`` marker.
 
-Schema v2 (``repro.runner/journal.v2``; the loader still reads v1) adds
-**sub-unit checkpoint records**: a long-running unit whose exact
-path-metric checkpoints run in the parent process appends one
-``{"ckpt": unit, "seq": k, "key": ..., "span": [a, b], "state": {...}}``
-record per completed checkpoint *shard* -- the serialized int64
-eccentricity-max / distance-sum accumulators of
-:func:`repro.graphs.fast.accumulate_path_shard`, keyed by a content hash of
-the checkpoint's CSR snapshot and source set plus the shard's source span.
-``--resume`` then re-enters a partially-finished unit: when the re-run
-reaches a checkpoint whose content key matches a journaled one, the saved
-accumulators are reloaded instead of recomputed (integer exactness makes
-the merge order-free, so the resumed aggregates stay **bit-identical** to
-an uninterrupted run), and at most one checkpoint shard of work is lost.
+Schema v3 (``repro.runner/journal.v3``) also carries **sub-unit
+checkpoint records**: a long-running unit whose exact path-metric
+checkpoints run in the parent process appends one
+``{"ckpt": key, "span": [a, b], "state": {...}}`` record per completed
+checkpoint *shard* -- the serialized int64 eccentricity-max / distance-sum
+accumulators of :func:`repro.graphs.fast.accumulate_path_shard`.  A shard's
+accumulators depend only on the checkpoint's CSR snapshot, its source set
+and the shard's source span, so the record is keyed by that content alone:
+``key`` is :func:`repro.graphs.fast.accumulator_state_key` of the snapshot
+and source set.  ``--resume`` then re-enters a partially-finished unit:
+when the re-run reaches a checkpoint whose content key and span match a
+journaled record, the saved accumulators are reloaded instead of recomputed
+(integer exactness makes the merge order-free, so the resumed aggregates
+stay **bit-identical** to an uninterrupted run), and at most one checkpoint
+shard of work is lost.  Journals of older schemas are refused.
 
 ``python -m repro.runner run --resume`` replays the recorded units verbatim
 -- JSON round-trips IEEE doubles exactly, and the executor drains results
@@ -39,7 +41,7 @@ campaign: a journal append the filesystem refuses (``ENOSPC``, read-only
 root...) logs one warning, counts ``runner.journal.write_failed`` and
 degrades the rest of the campaign to un-journaled execution -- mirroring
 :meth:`repro.runner.cache.ResultCache.put` -- and an oversized checkpoint
-state (above :func:`state_limit_policy`) is dropped with a logged fallback
+state (above :data:`STATE_LIMIT` bytes) is dropped with a logged fallback
 to unit-granularity journaling instead of bloating the journal.
 """
 
@@ -53,67 +55,19 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.obs.telemetry import current as _telemetry
+from repro.runner.spec import environment_pins
 
 logger = logging.getLogger(__name__)
 
-#: Versioned identifier stamped into every new journal header.
-JOURNAL_SCHEMA = "repro.runner/journal.v2"
+#: Versioned identifier stamped into every journal header; the only schema
+#: the loader accepts.
+JOURNAL_SCHEMA = "repro.runner/journal.v3"
 
-#: The PR 8 schema: unit records only.  Still accepted on load/resume --
-#: a v1 journal simply carries no sub-unit checkpoint state.
-JOURNAL_SCHEMA_V1 = "repro.runner/journal.v1"
-
-#: Every schema the loader accepts.
-ACCEPTED_SCHEMAS = (JOURNAL_SCHEMA, JOURNAL_SCHEMA_V1)
-
-#: Per-record byte budget for serialized checkpoint state
-#: (:func:`state_limit_policy` override).  A 1M-node checkpoint shard is a
-#: few MB compressed; anything past this cap falls back -- loudly -- to
-#: unit-granularity journaling rather than ballooning the journal file.
-STATE_LIMIT_ENV_VAR = "REPRO_JOURNAL_STATE_LIMIT"
-
-#: Default checkpoint-state cap in bytes (64 MiB).
-DEFAULT_STATE_LIMIT = 64 * 1024 * 1024
-
-
-def state_limit_policy() -> int:
-    """Max encoded bytes of one checkpoint-state record (default 64 MiB).
-
-    Parses :data:`STATE_LIMIT_ENV_VAR`; an invalid value raises
-    :class:`repro.core.errors.ConfigError` instead of silently journaling
-    unbounded state.
-    """
-    raw = os.environ.get(STATE_LIMIT_ENV_VAR, "").strip()
-    if not raw:
-        return DEFAULT_STATE_LIMIT
-    from repro.core.errors import ConfigError
-
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ConfigError(
-            f"invalid {STATE_LIMIT_ENV_VAR}={raw!r}; expected a positive "
-            "integer byte budget"
-        )
-    return value
-
-
-def environment_pins() -> Dict[str, Any]:
-    """The execution-environment fields pinned into every journal header.
-
-    The same knobs :meth:`repro.runner.spec.WorkUnit.key_material` folds
-    into cache keys: anything that could change a recorded value must
-    refuse to replay under a different setting.
-    """
-    from repro.graphs import backend
-
-    return {
-        "graph_backend": backend.policy(),
-        "bfs_batch": backend.bfs_batch_policy(),
-        "popcount_lut": backend.popcount_lut_forced(),
-    }
+#: Byte budget of one serialized checkpoint state (64 MiB).  A 1M-node
+#: checkpoint shard is a few MB compressed; anything past this cap falls
+#: back -- loudly -- to unit-granularity journaling rather than ballooning
+#: the journal file.
+STATE_LIMIT = 64 * 1024 * 1024
 
 
 def journal_header(spec, version: str, unit_count: int) -> Dict[str, Any]:
@@ -138,16 +92,8 @@ def journal_header(spec, version: str, unit_count: int) -> Dict[str, Any]:
 
 
 def _header_mismatches(recorded: Mapping[str, Any], header: Mapping[str, Any]):
-    """Field names of ``header`` that ``recorded`` contradicts.
-
-    The ``journal`` schema tag is compared separately (v1 journals resume
-    under v2 code); every identity/environment field must match exactly.
-    """
-    return sorted(
-        key
-        for key in header
-        if key != "journal" and recorded.get(key) != header[key]
-    )
+    """Field names of ``header`` that ``recorded`` contradicts."""
+    return sorted(key for key in header if recorded.get(key) != header[key])
 
 
 class CampaignJournal:
@@ -160,8 +106,8 @@ class CampaignJournal:
         #: on un-journaled (warned once, counted once per journal).
         self.write_failed = False
         #: Sub-unit checkpoint states loaded by the last :meth:`_read` --
-        #: ``{(unit, seq): {"key": str, "spans": {(a, b): state-dict}}}``.
-        self.checkpoints: Dict[Tuple[int, int], Dict[str, Any]] = {}
+        #: ``{content key: {(a, b): state-dict}}``.
+        self.checkpoints: Dict[str, Dict[Tuple[int, int], Any]] = {}
 
     # -- reading -------------------------------------------------------
     def _read(self) -> Tuple[Optional[Dict[str, Any]], Dict[int, Dict[str, float]], bool]:
@@ -176,7 +122,7 @@ class CampaignJournal:
 
         header: Optional[Dict[str, Any]] = None
         units: Dict[int, Dict[str, float]] = {}
-        checkpoints: Dict[Tuple[int, int], Dict[str, Any]] = {}
+        checkpoints: Dict[str, Dict[Tuple[int, int], Any]] = {}
         complete = False
         try:
             faults.fault_point("journal.read")
@@ -208,7 +154,7 @@ class CampaignJournal:
             if header is None:
                 if (
                     not isinstance(record, dict)
-                    or record.get("journal") not in ACCEPTED_SCHEMAS
+                    or record.get("journal") != JOURNAL_SCHEMA
                 ):
                     raise ConfigError(
                         f"journal {self.path} has no {JOURNAL_SCHEMA} header; "
@@ -230,19 +176,16 @@ class CampaignJournal:
     def _load_checkpoint_record(
         self,
         record: Mapping[str, Any],
-        checkpoints: Dict[Tuple[int, int], Dict[str, Any]],
+        checkpoints: Dict[str, Dict[Tuple[int, int], Any]],
     ) -> None:
-        """Fold one ``ckpt`` record into the per-``(unit, seq)`` state map.
+        """Fold one ``ckpt`` record into the ``{key: {span: state}}`` map.
 
-        A record whose content key disagrees with an earlier one for the
-        same checkpoint replaces it wholesale (the later run's environment
-        won); a structurally broken record is dropped with a warning --
-        checkpoint state is an optimization, never worth failing a resume.
+        A later record for the same key and span replaces the earlier one;
+        a structurally broken record is dropped with a warning -- checkpoint
+        state is an optimization, never worth failing a resume.
         """
         try:
-            unit = int(record["ckpt"])
-            seq = int(record["seq"])
-            key = str(record["key"])
+            key = str(record["ckpt"])
             a, b = record["span"]
             span = (int(a), int(b))
             state = record["state"]
@@ -256,11 +199,7 @@ class CampaignJournal:
                 error,
             )
             return
-        entry = checkpoints.get((unit, seq))
-        if entry is None or entry["key"] != key:
-            entry = {"key": key, "spans": {}}
-            checkpoints[(unit, seq)] = entry
-        entry["spans"][span] = state
+        checkpoints.setdefault(key, {})[span] = state
 
     def resume_state(self, header: Mapping[str, Any]) -> Dict[int, Dict[str, float]]:
         """Validate the on-disk journal against ``header`` and load its units.
@@ -298,17 +237,6 @@ class CampaignJournal:
                 f"journal {self.path} records out-of-range unit(s) "
                 f"{sorted(out_of_range)} for a {total}-unit campaign"
             )
-        stale = [key for key in self.checkpoints if not 0 <= key[0] < total]
-        for key in stale:
-            # Checkpoint state is an optimization: out-of-range records are
-            # dropped (warned), never fatal like a contradictory unit record.
-            logger.warning(
-                "journal %s: dropping checkpoint state for out-of-range "
-                "unit %d",
-                self.path,
-                key[0],
-            )
-            del self.checkpoints[key]
         return units
 
     # -- writing -------------------------------------------------------
@@ -394,20 +322,15 @@ class CampaignJournal:
         self._append({"unit": index, "metrics": dict(metrics)})
 
     def record_checkpoint_shard(
-        self,
-        unit: int,
-        seq: int,
-        key: str,
-        span: Tuple[int, int],
-        spans: int,
-        state: Mapping[str, str],
+        self, key: str, span: Tuple[int, int], state: Mapping[str, str]
     ) -> bool:
         """Append one completed checkpoint shard's serialized accumulators.
 
-        ``state`` maps accumulator names to encoded payloads
+        ``key`` is the checkpoint's content hash, ``span`` the shard's
+        source span and ``state`` maps accumulator names to encoded payloads
         (:func:`repro.graphs.fast.serialize_accumulators`).  Oversized
-        states (past :func:`state_limit_policy`) are not written: the
-        fallback to unit-granularity journaling is logged and counted
+        states (past :data:`STATE_LIMIT`) are not written: the fallback to
+        unit-granularity journaling is logged and counted
         (``runner.journal.ckpt_oversize``), because an interrupted unit
         that silently stopped checkpointing would look resumable-at-shard
         granularity when it is not.
@@ -415,29 +338,21 @@ class CampaignJournal:
         if self._handle is None:
             return False
         encoded_size = sum(len(value) for value in state.values())
-        if encoded_size > state_limit_policy():
+        if encoded_size > STATE_LIMIT:
             _telemetry().count("runner.journal.ckpt_oversize")
             logger.warning(
-                "journal %s: checkpoint state for unit %d seq %d is %d "
-                "bytes (limit %d, %s); falling back to unit-granularity "
-                "journaling for this checkpoint",
+                "journal %s: checkpoint state %s span %s is %d bytes (limit "
+                "%d); falling back to unit-granularity journaling for this "
+                "checkpoint",
                 self.path,
-                unit,
-                seq,
+                key,
+                tuple(span),
                 encoded_size,
-                state_limit_policy(),
-                STATE_LIMIT_ENV_VAR,
+                STATE_LIMIT,
             )
             return False
         written = self._append(
-            {
-                "ckpt": unit,
-                "seq": seq,
-                "key": key,
-                "span": [int(span[0]), int(span[1])],
-                "spans": int(spans),
-                "state": dict(state),
-            }
+            {"ckpt": key, "span": [int(span[0]), int(span[1])], "state": dict(state)}
         )
         if written:
             _telemetry().count("runner.journal.ckpt_recorded")
@@ -466,87 +381,47 @@ class CampaignJournal:
 # ----------------------------------------------------------------------
 # Sub-unit checkpoint plumbing (parent-process state)
 # ----------------------------------------------------------------------
-# The executor installs one CheckpointJournalContext per journaled campaign
-# and a UnitCheckpointScope around every work unit it computes *in the
-# parent process* (the serial ``workers=1`` loop and the degraded-serial
-# drain).  Checkpointed computations deep inside a unit -- the exact
-# path-metric campaigns of ``sharded_full_path_metrics`` -- consult
-# :func:`active_unit_scope` to replay journaled accumulators and to record
-# fresh ones.  Pool workers never see this state (it is process-local and
-# never shipped), so a unit running in a worker journals at unit
-# granularity exactly as before.
+# The executor installs one CheckpointJournalContext per journaled campaign.
+# Checkpointed computations deep inside a unit -- the exact path-metric
+# campaigns of ``sharded_full_path_metrics`` -- consult
+# :func:`active_checkpoints` to replay journaled accumulators and to record
+# fresh ones.  The context is process-local and pool workers never consult
+# it, so a unit running in a worker journals at unit granularity.
 
 class CheckpointJournalContext:
-    """One journaled campaign's sub-unit checkpoint state (parent-side)."""
+    """One journaled campaign's sub-unit checkpoint state (parent-side).
 
-    def __init__(
-        self,
-        journal: CampaignJournal,
-        saved: Mapping[Tuple[int, int], Dict[str, Any]],
-    ) -> None:
+    Replays come from the states :meth:`CampaignJournal.resume_state`
+    loaded (none for a fresh campaign); fresh shards append to the journal.
+    """
+
+    def __init__(self, journal: CampaignJournal) -> None:
         self.journal = journal
-        self.saved = dict(saved)
         #: Checkpoint shards replayed from the journal instead of computed.
         self.shards_replayed = 0
         #: Fresh checkpoint shards appended to the journal.
         self.shards_recorded = 0
 
+    def saved_spans(self, key: str) -> Mapping[Tuple[int, int], Any]:
+        """Journaled states of the checkpoint with content ``key``, by span."""
+        return self.journal.checkpoints.get(key, {})
 
-class UnitCheckpointScope:
-    """One in-parent work unit's view of the campaign checkpoint context."""
-
-    def __init__(self, context: CheckpointJournalContext, unit_index: int) -> None:
-        self.context = context
-        self.unit = unit_index
-        #: Checkpoints are numbered in execution order within the unit; the
-        #: re-run reaches them in the same deterministic order, which is
-        #: what lets ``seq`` anchor a journaled state to "the k-th
-        #: checkpoint of unit i".
-        self.seq = 0
-
-    def begin_checkpoint(self, key: str) -> Tuple[int, Dict[Tuple[int, int], Any]]:
-        """Enter the next checkpoint; returns ``(seq, saved_spans)``.
-
-        ``saved_spans`` maps source spans to serialized states journaled
-        for this exact checkpoint (same unit, same sequence position, same
-        content key).  A key mismatch -- the journaled state belongs to a
-        different graph snapshot -- yields no spans: the checkpoint simply
-        recomputes, it can never replay the wrong state.
-        """
-        seq = self.seq
-        self.seq += 1
-        entry = self.context.saved.get((self.unit, seq))
-        if entry is not None and entry["key"] == key:
-            return seq, dict(entry["spans"])
-        return seq, {}
-
-    def note_replayed(self, spans: int = 1) -> None:
-        self.context.shards_replayed += spans
+    def note_replayed(self, spans: int) -> None:
+        self.shards_replayed += spans
         _telemetry().count("runner.journal.ckpt_replayed", spans)
 
     def record_shard(
-        self,
-        seq: int,
-        key: str,
-        span: Tuple[int, int],
-        spans: int,
-        state: Mapping[str, str],
+        self, key: str, span: Tuple[int, int], state: Mapping[str, str]
     ) -> None:
-        if self.context.journal.record_checkpoint_shard(
-            self.unit, seq, key, span, spans, state
-        ):
-            self.context.shards_recorded += 1
+        if self.journal.record_checkpoint_shard(key, span, state):
+            self.shards_recorded += 1
 
 
 _campaign_context: Optional[CheckpointJournalContext] = None
-_active_scope: Optional[UnitCheckpointScope] = None
 
 
 @contextmanager
-def campaign_checkpoints(
-    journal: Optional[CampaignJournal],
-    saved: Optional[Mapping[Tuple[int, int], Dict[str, Any]]] = None,
-):
+def campaign_checkpoints(journal: Optional[CampaignJournal]):
     """Install the campaign checkpoint context for the executor's duration.
 
     Yields the installed :class:`CheckpointJournalContext` (``None`` when
@@ -556,9 +431,7 @@ def campaign_checkpoints(
     """
     global _campaign_context
     previous = _campaign_context
-    context = (
-        CheckpointJournalContext(journal, saved or {}) if journal is not None else None
-    )
+    context = CheckpointJournalContext(journal) if journal is not None else None
     _campaign_context = context
     try:
         yield context
@@ -566,30 +439,9 @@ def campaign_checkpoints(
         _campaign_context = previous
 
 
-@contextmanager
-def unit_scope(unit_index: int):
-    """Activate sub-unit checkpointing for one in-parent work unit.
-
-    A no-op (yields ``None``) outside a journaled campaign -- which is
-    exactly what happens inside pool workers, where the campaign context is
-    never installed.
-    """
-    global _active_scope
-    if _campaign_context is None:
-        yield None
-        return
-    previous = _active_scope
-    scope = UnitCheckpointScope(_campaign_context, unit_index)
-    _active_scope = scope
-    try:
-        yield scope
-    finally:
-        _active_scope = previous
-
-
-def active_unit_scope() -> Optional[UnitCheckpointScope]:
-    """The in-flight unit's checkpoint scope (``None`` almost everywhere)."""
-    return _active_scope
+def active_checkpoints() -> Optional[CheckpointJournalContext]:
+    """The journaled campaign's checkpoint context (``None`` almost everywhere)."""
+    return _campaign_context
 
 
 # ----------------------------------------------------------------------
@@ -615,9 +467,7 @@ def inspect(path: Union[str, Path]) -> Dict[str, Any]:
     env_mismatches = sorted(
         key for key in current_env if header.get(key) != current_env[key]
     )
-    checkpoint_shards = sum(
-        len(entry["spans"]) for entry in journal.checkpoints.values()
-    )
+    checkpoint_shards = sum(len(spans) for spans in journal.checkpoints.values())
     return {
         "path": str(path),
         "schema": header.get("journal"),

@@ -389,16 +389,31 @@ _MIRRORS: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 _MAX_MIRRORS = MAX_PUBLICATIONS
 
 
+#: Set by the pool initializer in every worker process.
+_IN_WORKER = False
+
+
+def in_worker() -> bool:
+    """Whether this process is a pool worker (path metrics then run serially)."""
+    return _IN_WORKER
+
+
 def _pool_worker_boot(src_path: str) -> None:
     """Pool initializer: make ``repro`` importable and warm the registry.
 
     Deliberately minimal -- everything policy-like (graph backend, wave
     width, telemetry, scenario home module) arrives *per task* via
     :func:`_apply_worker_context`, because a persistent pool outlives any
-    single campaign's policies.
+    single campaign's policies.  A forked worker also inherits the parent's
+    pool registry; it is dropped (never closed: those executors and
+    segments belong to the parent), so nothing in a worker can submit to
+    its parent's pool and wait forever.
     """
     import sys
 
+    global _IN_WORKER
+    _IN_WORKER = True
+    _POOLS.clear()
     if src_path and src_path not in sys.path:
         sys.path.insert(0, src_path)
     from repro.runner import registry

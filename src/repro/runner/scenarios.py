@@ -361,20 +361,23 @@ def resilience_at_scale(
 
     A k-regular DDSR overlay loses ``max_fraction`` of its nodes one at a
     time (repair after every deletion); components, degree centrality and the
-    path metrics are recorded at every checkpoint through
-    :meth:`~repro.core.ddsr.DDSROverlay.path_metric_summary`.  Every path
-    metric defaults to the *exact full population* (``metric_sample=None``):
+    path metrics are recorded at every checkpoint.  Every path metric
+    defaults to the *exact full population* (``metric_sample=None``):
     diameter, ASPL and closeness all come from one full-population wave
-    campaign per checkpoint, so the 100k-node resilience curves report exact
-    values where the paper (and PR 3/4) sampled diameter and path length.
-    ``REPRO_PATH_WORKERS=N`` source-shards each campaign across a process
-    pool, bit-identically to serial (an environment knob, not a parameter:
-    performance settings must not perturb unit seeds or cache identity);
-    ``metric_sample=<int>`` restores the PR 4 sampled estimators.
+    campaign per checkpoint
+    (:func:`~repro.runner.executor.sharded_full_path_metrics`), so the
+    100k-node resilience curves report exact values where the paper
+    sampled diameter and path length.  ``REPRO_PATH_WORKERS=N``
+    source-shards each campaign across a process pool, bit-identically to
+    serial (an environment knob, not a parameter: performance settings must
+    not perturb unit seeds or cache identity), and a journaled campaign
+    checkpoints each campaign's shards.  ``metric_sample=<int>`` restores
+    the sampled estimators
+    (:meth:`~repro.core.ddsr.DDSROverlay.path_metric_summary`).
     """
     from repro.core.ddsr import DDSROverlay
     from repro.graphs import backend
-    from repro.runner.executor import path_workers_policy
+    from repro.runner.executor import path_workers_policy, sharded_full_path_metrics
     from repro.workloads.deletion import DeletionSchedule
 
     path_workers = path_workers_policy()
@@ -387,12 +390,14 @@ def resilience_at_scale(
     batch = max(1, len(schedule) // checkpoints) if len(schedule) else 1
 
     def measure() -> Dict[str, float]:
-        summary = overlay.path_metric_summary(
-            sample_size=metric_sample,
-            rng=metric_rng,
-            closeness_sample=closeness_sample,
-            path_workers=path_workers,
-        )
+        if metric_sample is None and closeness_sample is None:
+            summary = sharded_full_path_metrics(overlay.graph, workers=path_workers)
+        else:
+            summary = overlay.path_metric_summary(
+                sample_size=metric_sample,
+                rng=metric_rng,
+                closeness_sample=closeness_sample,
+            )
         return {
             "components": float(summary["components"]),
             "largest_fraction": summary["largest_fraction"],

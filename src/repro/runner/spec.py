@@ -20,6 +20,24 @@ from repro.runner.grid import canonical_params, check_params, expand_grid
 from repro.sim.rng import derive_seed
 
 
+def environment_pins() -> Dict[str, Any]:
+    """The active execution-environment knobs that could change a value.
+
+    The graph-backend policy, the BFS wave-width override and the
+    forced-LUT popcount flag.  Folded into every cache key
+    (:meth:`WorkUnit.key_material`) and pinned into every journal header
+    (:func:`repro.runner.journal.journal_header`), so a result computed
+    under one setting is never served or replayed under another.
+    """
+    from repro.graphs import backend
+
+    return {
+        "graph_backend": backend.policy(),
+        "bfs_batch": backend.bfs_batch_policy(),
+        "popcount_lut": backend.popcount_lut_forced(),
+    }
+
+
 @dataclass(frozen=True)
 class WorkUnit:
     """One independent execution: a grid point at one trial index."""
@@ -36,16 +54,13 @@ class WorkUnit:
         """The canonical string the cache key is hashed from.
 
         Besides the unit's own identity this covers the *active execution
-        environment* -- the graph-backend policy, the BFS wave-width
-        override and the forced-LUT popcount flag -- so a result computed
+        environment* (:func:`environment_pins`), so a result computed
         under ``REPRO_GRAPH_BACKEND=python`` is never served to a
         ``fast``-backend invocation (or vice versa), and a run under a
         forced wave width or popcount kernel never masks the default one.
         The backends and kernels are contractually bit-identical, but the
         cache must not *assume* the contract it exists to help verify.
         """
-        from repro.graphs import backend
-
         return "\n".join(
             [
                 f"scenario={self.scenario}",
@@ -53,9 +68,7 @@ class WorkUnit:
                 f"params={canonical_params(self.params)}",
                 f"trial={self.trial}",
                 f"seed={self.seed}",
-                f"graph_backend={backend.policy()}",
-                f"bfs_batch={backend.bfs_batch_policy()}",
-                f"popcount_lut={backend.popcount_lut_forced()}",
+                *(f"{name}={value}" for name, value in environment_pins().items()),
             ]
         )
 

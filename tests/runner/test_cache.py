@@ -88,6 +88,31 @@ class TestCacheKeying:
         monkeypatch.delenv(backend.POPCOUNT_LUT_ENV_VAR)
         assert unit.cache_key("1") == native_key  # unset == explicit off
 
+    def test_known_cache_keys_are_pinned(self, monkeypatch):
+        """Cache keys are byte-stable: a change to how the environment pins
+        are rendered would silently orphan every existing cache entry."""
+        from repro.graphs import backend
+        from repro.runner.spec import WorkUnit, environment_pins
+
+        unit = WorkUnit(
+            index=0, scenario="fig3-walkthrough", params={"n": 60, "k": 5},
+            trial=1, seed=12345, point_index=0,
+        )
+        monkeypatch.delenv(backend.BFS_BATCH_ENV_VAR, raising=False)
+        monkeypatch.delenv(backend.POPCOUNT_LUT_ENV_VAR, raising=False)
+        with backend.using("auto"):
+            assert environment_pins() == {
+                "graph_backend": "auto", "bfs_batch": "auto", "popcount_lut": False,
+            }
+            assert unit.key_material("v2").splitlines()[-3:] == [
+                "graph_backend=auto", "bfs_batch=auto", "popcount_lut=False",
+            ]
+            assert unit.cache_key("v2") == "290a0a72b069987f71994c1d353ae6b3"
+        with backend.using("fast"), backend.using_bfs_batch(128):
+            assert unit.cache_key("v2") == "320965d3cf74c0a7e2ff9cd9f43998d7"
+            monkeypatch.setenv(backend.POPCOUNT_LUT_ENV_VAR, "1")
+            assert unit.cache_key("v2") == "56fd628be567dfdc484048379f06b267"
+
     def test_invalid_backend_env_raises_not_silently_falls_back(self, monkeypatch):
         import pytest
 

@@ -306,6 +306,15 @@ class TestJournalInspect:
         assert main(["journal", str(journal)]) == EXIT_CONFIG
         assert "invalid journal" in capsys.readouterr().err
 
+    def test_older_schema_journal_exits_config(self, tmp_path, capsys):
+        journal = self._journal(tmp_path, capsys)
+        lines = journal.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["journal"] = "repro.runner/journal.v2"
+        journal.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        assert main(["journal", str(journal)]) == EXIT_CONFIG
+        assert "delete it" in capsys.readouterr().err
+
     def test_environment_drift_refuses_resume(self, tmp_path, capsys, monkeypatch):
         from repro.graphs import backend
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.graphs import backend
 from repro.runner.cache import ResultCache
 from repro.runner.executor import execute, run_scenario
 from repro.runner.registry import scenario, unregister
@@ -269,10 +270,11 @@ class TestShardedPathMetrics:
 
         graph = k_regular_graph(600, 8, seed=41)
         serial = fast.full_path_metrics(graph)
-        for workers in (2, 3):
-            assert sharded_full_path_metrics(graph, workers=workers) == serial
-        # An uneven explicit shard size changes the split, never the result.
-        assert sharded_full_path_metrics(graph, workers=2, shard_size=97) == serial
+        with backend.using("fast"):
+            for workers in (2, 3):
+                assert sharded_full_path_metrics(graph, workers=workers) == serial
+            # An uneven explicit shard size changes the split, never the result.
+            assert sharded_full_path_metrics(graph, workers=2, shard_size=97) == serial
 
     def test_sharded_on_partitioned_graph(self):
         pytest.importorskip("numpy")
@@ -288,18 +290,40 @@ class TestShardedPathMetrics:
             graph.remove_node(victim)
         expected = metrics.full_path_metrics(graph)
         assert fast.full_path_metrics(graph) == expected
-        assert sharded_full_path_metrics(graph, workers=2) == expected
+        with backend.using("fast"):
+            assert sharded_full_path_metrics(graph, workers=2) == expected
 
     def test_sharded_through_overlay_summary(self):
+        """The runner's pooled campaign equals the overlay's exact summary."""
         pytest.importorskip("numpy")
         from repro.core.ddsr import DDSROverlay
-        from repro.graphs import backend
+        from repro.runner.executor import sharded_full_path_metrics
 
         overlay = DDSROverlay.k_regular(500, 8, seed=45)
         with backend.using("fast"):
             serial = overlay.path_metric_summary()
-            parallel = overlay.path_metric_summary(path_workers=2)
+            parallel = sharded_full_path_metrics(overlay.graph, workers=2)
         assert parallel == serial
+
+    def test_python_resolved_graph_runs_the_reference(self, monkeypatch):
+        """Below the auto threshold (or forced python) no pool is touched;
+        a forced fast backend without numpy still refuses."""
+        from repro.graphs import metrics
+        from repro.graphs.generators import k_regular_graph
+        from repro.runner import pool
+        from repro.runner.executor import sharded_full_path_metrics
+
+        graph = k_regular_graph(120, 6, seed=47)
+        expected = metrics.full_path_metrics(graph)
+        monkeypatch.setattr(pool, "get_pool", None)  # any pool use would fail
+        with backend.using("auto"):
+            assert sharded_full_path_metrics(graph, workers=2) == expected
+        with backend.using("python"):
+            assert sharded_full_path_metrics(graph, workers=2) == expected
+        monkeypatch.setattr(backend, "fast_available", lambda: False)
+        with backend.using("fast"):
+            with pytest.raises(backend.BackendError, match="numpy"):
+                sharded_full_path_metrics(graph, workers=2)
 
     def test_path_workers_env_does_not_perturb_scenario_results(self, monkeypatch):
         """REPRO_PATH_WORKERS is an execution knob: same seeds, same values.

@@ -12,13 +12,7 @@ from repro.runner import faults
 from repro.runner import journal as journal_mod
 from repro.runner.cache import ResultCache
 from repro.runner.executor import execute, run_scenario
-from repro.runner.journal import (
-    JOURNAL_SCHEMA,
-    JOURNAL_SCHEMA_V1,
-    STATE_LIMIT_ENV_VAR,
-    CampaignJournal,
-    journal_header,
-)
+from repro.runner.journal import JOURNAL_SCHEMA, CampaignJournal, journal_header
 from repro.runner.pool import shutdown_pools
 from repro.runner.registry import get_scenario
 from repro.runner.spec import ScenarioSpec
@@ -126,19 +120,20 @@ STATE = {"ecc": "ZWNj", "totals": "dG90"}  # opaque to the journal layer
 
 
 class TestJournalV2:
-    def test_v1_journal_still_resumes(self, tmp_path):
-        """A PR 8 journal (v1 schema tag, unit records only) replays under
-        the v2 loader -- it just carries no checkpoint state."""
+    def test_older_schema_journals_are_refused(self, tmp_path):
+        """v1/v2 journals (unit records, position-keyed checkpoint records)
+        do not resume: the error says to delete the journal and rerun."""
         path = tmp_path / "j.jsonl"
-        header = dict(_header())
-        header["journal"] = JOURNAL_SCHEMA_V1
-        with path.open("w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header) + "\n")
-            handle.write(json.dumps({"unit": 1, "metrics": {"m": 2.0}}) + "\n")
-        journal = CampaignJournal(path)
-        replay = journal.resume_state(_header())
-        assert replay == {1: {"m": 2.0}}
-        assert journal.checkpoints == {}
+        for schema in ("repro.runner/journal.v1", "repro.runner/journal.v2"):
+            header = dict(_header())
+            header["journal"] = schema
+            with path.open("w", encoding="utf-8") as handle:
+                handle.write(json.dumps(header) + "\n")
+                handle.write(json.dumps({"unit": 1, "metrics": {"m": 2.0}}) + "\n")
+            with pytest.raises(ConfigError, match="delete it"):
+                CampaignJournal(path).resume_state(_header())
+            with pytest.raises(ConfigError, match=JOURNAL_SCHEMA):
+                journal_mod.inspect(path)
 
     def test_unknown_schema_is_rejected(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -152,32 +147,31 @@ class TestJournalV2:
         path = tmp_path / "j.jsonl"
         journal = CampaignJournal(path)
         journal.open(_header())
-        assert journal.record_checkpoint_shard(0, 0, "k0", (0, 5), 2, STATE)
-        assert journal.record_checkpoint_shard(0, 0, "k0", (5, 9), 2, STATE)
-        assert journal.record_checkpoint_shard(0, 1, "k1", (0, 9), 1, STATE)
+        assert journal.record_checkpoint_shard("k0", (0, 5), STATE)
+        assert journal.record_checkpoint_shard("k0", (5, 9), STATE)
+        assert journal.record_checkpoint_shard("k1", (0, 9), STATE)
         journal.close()
+        record = json.loads(path.read_text().splitlines()[1])
+        assert record == {"ckpt": "k0", "span": [0, 5], "state": STATE}
         reader = CampaignJournal(path)
         reader._read()
-        assert sorted(reader.checkpoints) == [(0, 0), (0, 1)]
-        entry = reader.checkpoints[(0, 0)]
-        assert entry["key"] == "k0"
-        assert sorted(entry["spans"]) == [(0, 5), (5, 9)]
-        assert entry["spans"][(0, 5)] == STATE
+        assert sorted(reader.checkpoints) == ["k0", "k1"]
+        assert sorted(reader.checkpoints["k0"]) == [(0, 5), (5, 9)]
+        assert reader.checkpoints["k0"][(0, 5)] == STATE
 
     def test_conflicting_checkpoint_key_later_record_wins(self, tmp_path):
-        """Re-journaled checkpoints of a re-run (different graph snapshot,
-        new content key) replace the stale state wholesale."""
+        """Two records for one content key and span (a shard journaled again
+        by a resumed run): the later state replaces the earlier one."""
+        later = {"ecc": "bmV3", "totals": "bmV3"}
         path = tmp_path / "j.jsonl"
         journal = CampaignJournal(path)
         journal.open(_header())
-        journal.record_checkpoint_shard(0, 0, "old", (0, 5), 2, STATE)
-        journal.record_checkpoint_shard(0, 0, "new", (5, 9), 2, STATE)
+        journal.record_checkpoint_shard("k", (0, 5), STATE)
+        journal.record_checkpoint_shard("k", (0, 5), later)
         journal.close()
         reader = CampaignJournal(path)
         reader._read()
-        entry = reader.checkpoints[(0, 0)]
-        assert entry["key"] == "new"
-        assert sorted(entry["spans"]) == [(5, 9)]
+        assert reader.checkpoints == {"k": {(0, 5): later}}
 
     def test_malformed_checkpoint_record_is_dropped(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -186,7 +180,7 @@ class TestJournalV2:
         journal.record_unit(0, {"m": 1.0})
         journal.close()
         with path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps({"ckpt": 0, "seq": 0, "key": "k"}) + "\n")
+            handle.write(json.dumps({"ckpt": "k", "span": [0, 5]}) + "\n")
             handle.write(json.dumps({"unit": 1, "metrics": {"m": 2.0}}) + "\n")
         reader = CampaignJournal(path)
         _, units, _ = reader._read()
@@ -195,22 +189,17 @@ class TestJournalV2:
         assert sorted(units) == [0, 1]
 
     def test_oversized_state_is_not_written(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STATE_LIMIT_ENV_VAR, "4")
+        monkeypatch.setattr(journal_mod, "STATE_LIMIT", 4)
         path = tmp_path / "j.jsonl"
         journal = CampaignJournal(path)
         journal.open(_header())
         with telemetry.collecting() as collector:
-            assert not journal.record_checkpoint_shard(0, 0, "k", (0, 5), 1, STATE)
+            assert not journal.record_checkpoint_shard("k", (0, 5), STATE)
         journal.close()
         assert collector.snapshot()["counters"]["runner.journal.ckpt_oversize"] == 1
         reader = CampaignJournal(path)
         reader._read()
         assert reader.checkpoints == {}
-
-    def test_invalid_state_limit_is_a_config_error(self, monkeypatch):
-        monkeypatch.setenv(STATE_LIMIT_ENV_VAR, "zero")
-        with pytest.raises(ConfigError, match=STATE_LIMIT_ENV_VAR):
-            journal_mod.state_limit_policy()
 
     def test_refused_append_degrades_writes(self, tmp_path):
         """The first OSError on append warns, counts, and stops journaling;
@@ -242,17 +231,6 @@ class TestJournalV2:
         with pytest.raises(ConfigError, match="no readable header"):
             CampaignJournal(path).open(_header(), resume=True)
 
-    def test_out_of_range_checkpoint_is_dropped_not_fatal(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = CampaignJournal(path)
-        journal.open(_header(units=3))
-        journal.record_checkpoint_shard(7, 0, "k", (0, 5), 1, STATE)
-        journal.close()
-        reader = CampaignJournal(path)
-        replay = reader.resume_state(_header(units=3))
-        assert replay == {}
-        assert reader.checkpoints == {}
-
 
 class TestInspect:
     def test_inspect_a_complete_campaign(self, tmp_path):
@@ -260,7 +238,7 @@ class TestInspect:
         journal = CampaignJournal(path)
         journal.open(_header(units=3))
         journal.record_unit(0, {"m": 1.0})
-        journal.record_checkpoint_shard(1, 0, "k", (0, 5), 1, STATE)
+        journal.record_checkpoint_shard("k", (0, 5), STATE)
         journal.record_unit(1, {"m": 2.0})
         journal.record_unit(2, {"m": 3.0})
         journal.finish()

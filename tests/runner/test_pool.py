@@ -264,28 +264,88 @@ class TestFailurePaths:
 
 class TestCheckpointedTakedownDifferential:
     def test_gradual_takedown_pooled_checkpoints_bit_identical(self):
-        """GradualTakedown(path_workers=2) == path_workers=1, every checkpoint."""
+        """Pooled exact metrics == GradualTakedown's serial ones, every checkpoint.
+
+        The takedown's victims are replayed on a replica overlay; at each
+        checkpoint the replica is measured by the runner's pooled campaign,
+        which re-publishes the mutated CSR for the warm workers.
+        """
         from repro.adversary.takedown import GradualTakedown
         from repro.core.ddsr import DDSROverlay
         import random
 
-        def run(path_workers: int):
-            overlay = DDSROverlay.k_regular(150, 8, seed=1)
-            strategy = GradualTakedown(
-                fraction=0.2,
-                checkpoints=3,
-                rng=random.Random(4),
-                path_metrics=True,
-                metric_sample=None,
-                path_workers=path_workers,
+        strategy = GradualTakedown(
+            fraction=0.2,
+            checkpoints=3,
+            rng=random.Random(4),
+            path_metrics=True,
+            metric_sample=None,
+        )
+        replica = DDSROverlay.k_regular(150, 8, seed=1)
+        with backend.using("fast"):
+            serial = strategy.execute_with_checkpoints(
+                DDSROverlay.k_regular(150, 8, seed=1)
             )
-            with backend.using("fast"):
-                return strategy.execute_with_checkpoints(overlay)
+            assert len(serial) >= 3
+            for checkpoint in serial:
+                for victim in checkpoint.victims:
+                    if victim in replica.graph:
+                        replica.remove_node(victim)
+                pooled = sharded_full_path_metrics(replica.graph, workers=2)
+                assert pooled["components"] == checkpoint.connected_components
+                assert pooled["largest_fraction"] == checkpoint.largest_component_fraction
+                assert {
+                    key: pooled[key]
+                    for key in ("diameter", "avg_path_length", "avg_closeness")
+                } == checkpoint.path_metrics
 
-        pooled = run(2)
-        serial = run(1)
-        assert len(pooled) == len(serial) >= 3
-        for lit, dark in zip(pooled, serial):
-            assert lit.path_metrics == dark.path_metrics
-            assert lit.connected_components == dark.connected_components
-            assert lit.largest_component_fraction == dark.largest_component_fraction
+
+class TestPooledUnitsWithPooledPathMetrics:
+    def test_unit_fanout_with_path_workers_finishes_bit_identically(self):
+        """``execute(workers=2)`` under ``REPRO_PATH_WORKERS=2`` finishes.
+
+        Forked unit workers inherit the parent's pool registry; before the
+        fix a worker's exact campaign submitted to that inherited pool and
+        waited forever.  Workers now run path metrics serially.  Run in a
+        subprocess under a timeout so a regression fails instead of hanging.
+        """
+        import json
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        params = {
+            "n": 2600, "k": 8, "max_fraction": 0.05, "checkpoints": 2,
+            "metric_sample": None, "closeness_sample": None,
+        }
+        code = (
+            "import json, sys\n"
+            "from repro.runner.executor import run_scenario\n"
+            "result = run_scenario('resilience-at-scale', params=json.loads(sys.argv[1]),"
+            " trials=2, seed=1, workers=2)\n"
+            "print(json.dumps(result.unit_metrics))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        env["REPRO_PATH_WORKERS"] = "2"
+        child = subprocess.Popen(
+            [sys.executable, "-c", code, json.dumps(params)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            start_new_session=True,
+        )
+        try:
+            stdout, stderr = child.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            # Take the hung workers down with the parent and sweep the
+            # segments they can no longer release.
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            for segment in _pool_segments():
+                os.unlink(segment)
+            pytest.fail("execute(workers=2) with REPRO_PATH_WORKERS=2 hung")
+        assert child.returncode == 0, stderr
+        serial = run_scenario(
+            "resilience-at-scale", params=params, trials=2, seed=1, workers=1
+        )
+        assert json.loads(stdout) == serial.unit_metrics
+        assert _pool_segments() == []

@@ -35,6 +35,7 @@ from repro.graphs import backend
 from repro.obs import telemetry
 from repro.runner import faults
 from repro.runner.executor import run_scenario
+from repro.runner import journal as journal_mod
 from repro.runner.journal import CampaignJournal
 from repro.runner.pool import SHM_PREFIX, ParentTimeoutError, shutdown_pools
 from repro.runner.spec import ScenarioSpec
@@ -127,8 +128,8 @@ class TestMidUnitResume:
         assert counters["runner.journal.ckpt_replayed"] == resumed.checkpoints_replayed
 
     def test_completed_units_keep_unit_granularity_on_resume(self, tmp_path):
-        """Checkpoint records of a *finished* unit are dead weight: the unit
-        replays verbatim, its shards never re-enter the scope."""
+        """A *finished* unit replays verbatim from its unit record; its
+        checkpoint records are never consulted."""
         path = tmp_path / "j.jsonl"
         with backend.using("fast"):
             clean = _run()
@@ -199,11 +200,7 @@ class TestMidUnitResume:
             shutdown_pools()
             journal = CampaignJournal(path)
             journal._read()
-            spans = {
-                span
-                for entry in journal.checkpoints.values()
-                for span in entry["spans"]
-            }
+            spans = {span for spans in journal.checkpoints.values() for span in spans}
             assert len(spans) > 1, "pool fan-out should journal per-shard spans"
             resumed = _run(journal=path, resume=True)
         assert resumed.unit_metrics == clean.unit_metrics
@@ -315,7 +312,7 @@ class TestJournalPressure:
     def test_oversized_checkpoint_state_falls_back_to_unit_granularity(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_JOURNAL_STATE_LIMIT", "16")
+        monkeypatch.setattr(journal_mod, "STATE_LIMIT", 16)
         path = tmp_path / "j.jsonl"
         with backend.using("fast"):
             clean = _run()

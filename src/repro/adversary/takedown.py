@@ -91,9 +91,10 @@ class TargetedDegreeTakedown:
     """Always remove the current highest-degree node (hub-targeted cleanup).
 
     The per-victim candidate search runs through
-    :func:`repro.graphs.backend.top_degree_nodes`, one scan of the current
-    degrees per victim; the candidate list (and therefore the rng draw) does
-    not depend on the graph backend.
+    :func:`repro.graphs.backend.top_degree_nodes`, which reads the graph's
+    degree index: the first victim pays one scan to build it, every later
+    one only the sort of the top-degree bucket.  The candidate list (and
+    therefore the rng draw) does not depend on the graph backend.
     """
 
     count: int

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.core.errors import OverlayError
 from repro.graphs.adjacency import UndirectedGraph
@@ -318,13 +318,11 @@ class DDSROverlay:
         removed = 0
         adjacency = self.graph._adjacency
         d_max = self.config.d_max
+        order = self._prune_order(node)
         while len(adjacency[node]) > d_max:
-            victim = self._select_prune_victim(node)
+            victim = next(order, None)
             if victim is None:
                 break
-            # Never prune an edge whose removal would drop the *victim* below
-            # d_min if we can avoid it; the paper's rule is purely
-            # degree-of-victim driven, so this only reorders tie-breaks.
             self.graph.remove_edge(node, victim)
             removed += 1
             if victims is not None:
@@ -336,39 +334,45 @@ class DDSROverlay:
                 self.stats.addresses_forgotten += 1
         return removed
 
-    def _select_prune_victim(self, node: NodeId) -> Optional[NodeId]:
-        """Pick which peer ``node`` drops, according to the pruning policy.
+    def _prune_order(self, node: NodeId) -> Iterator[NodeId]:
+        """``node``'s peers in the order the pruning policy drops them.
 
-        The degree-driven policies single-pass the (uncopied) adjacency set
-        instead of materialising a peer->degree dict: pruning runs once per
-        SOAP clone insertion, so this is one of the campaign's hottest lines.
-        The rng tie-break is unchanged -- candidates are sorted by ``repr``
-        before the draw, so candidate collection order cannot matter.
+        Lazy: each victim is chosen only when the caller asks for it, after
+        the previous victim's edge is gone, so the rng draws exactly as many
+        times as victims are taken.  For the degree-driven policies the
+        peers are grouped by degree once: dropping edge ``(node, victim)``
+        changes only those two degrees, and the victim leaves the peer set,
+        so every remaining peer's degree is frozen for the whole pruning
+        pass.  Each group is walked from the policy's extreme end, repr-sorted
+        once; a draw picks among the candidates still left, and a lone
+        candidate is taken without one -- the same decisions and rng
+        consumption as rescanning the peers for every victim.
         """
-        adjacency = self.graph._adjacency
+        graph = self.graph
+        rng = self.rng
         policy = self.config.pruning_policy
         if policy is PruningPolicy.RANDOM:
-            peers = list(self.graph.neighbors(node))
-            if not peers:
-                return None
-            return self.rng.choice(peers)
-        highest = policy is PruningPolicy.HIGHEST_DEGREE
-        extreme: Optional[int] = None
-        candidates: List[NodeId] = []
+            while True:
+                peers = list(graph.neighbors(node))
+                if not peers:
+                    return
+                yield rng.choice(peers)
+        adjacency = graph._adjacency
+        groups: Dict[int, List[NodeId]] = {}
         for peer in adjacency[node]:
             degree = len(adjacency[peer])
-            if not highest:
-                degree = -degree
-            if extreme is None or degree > extreme:
-                extreme = degree
-                candidates = [peer]
-            elif degree == extreme:
-                candidates.append(peer)
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]
-        return self.rng.choice(sorted(candidates, key=repr))
+            group = groups.get(degree)
+            if group is None:
+                groups[degree] = [peer]
+            else:
+                group.append(peer)
+        for degree in sorted(groups, reverse=policy is PruningPolicy.HIGHEST_DEGREE):
+            candidates = sorted(groups[degree], key=repr)
+            while len(candidates) > 1:
+                victim = rng.choice(candidates)
+                candidates.remove(victim)
+                yield victim
+            yield candidates[0]
 
     def enforce_degree_bound(self, node: NodeId) -> int:
         """Apply the pruning rule to one node until its degree is within bounds.

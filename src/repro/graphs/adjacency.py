@@ -9,7 +9,8 @@ layer uses ``.onion`` address strings, the experiment harness uses integers.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
+from collections import defaultdict
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 NodeId = Hashable
 
@@ -22,6 +23,17 @@ class UndirectedGraph:
     """A simple undirected graph backed by adjacency sets.
 
     Self-loops are rejected; parallel edges collapse into a single edge.
+
+    The first :meth:`top_degree_nodes` call builds a degree -> node-set
+    index, which every mutator keeps current from then on, so a hub-targeted
+    takedown finds each victim in O(size of the top-degree bucket) instead of
+    scanning every node.  A graph that never asks for the top degree never
+    builds it and pays one ``is not None`` check per mutation (keeping it
+    from construction measurably slowed clone-flooding campaigns, which add
+    hundreds of thousands of edges and never query it).  :meth:`copy`,
+    :meth:`subgraph` and the native k-regular wiring start without an index.
+    Code that writes ``_adjacency`` directly must do so before the first
+    query: such writes bypass the index.
     """
 
     def __init__(self, nodes: Iterable[NodeId] = (), edges: Iterable[Tuple[NodeId, NodeId]] = ()) -> None:
@@ -29,6 +41,13 @@ class UndirectedGraph:
         #: Incremented on every structural change; derived representations
         #: (e.g. the fast backend's cached CSR arrays) key their caches on it.
         self._mutations: int = 0
+        #: Degree -> nodes of that degree, built by the first
+        #: :meth:`top_degree_nodes` call (``None`` until then).  Emptied
+        #: buckets stay as empty sets.
+        self._buckets: Optional[Dict[int, Set[NodeId]]] = None
+        #: While the index exists, at least the largest degree; a query
+        #: lowers it past emptied buckets to the exact value.
+        self._top: int = 0
         for node in nodes:
             self.add_node(node)
         for u, v in edges:
@@ -47,6 +66,8 @@ class UndirectedGraph:
         if node not in self._adjacency:
             self._adjacency[node] = set()
             self._mutations += 1
+            if self._buckets is not None:
+                self._buckets[0].add(node)
 
     def add_edge(self, u: NodeId, v: NodeId) -> bool:
         """Add the undirected edge ``(u, v)``.
@@ -63,6 +84,9 @@ class UndirectedGraph:
         self._adjacency[u].add(v)
         self._adjacency[v].add(u)
         self._mutations += 1
+        if self._buckets is not None:
+            self._shift(u, +1)
+            self._shift(v, +1)
         return True
 
     def add_leaf(self, node: NodeId, anchor: NodeId) -> None:
@@ -82,6 +106,9 @@ class UndirectedGraph:
         adjacency[node] = {anchor}
         adjacency[anchor].add(node)
         self._mutations += 2
+        if self._buckets is not None:
+            self._buckets[1].add(node)
+            self._shift(anchor, +1)
 
     def remove_edge(self, u: NodeId, v: NodeId) -> bool:
         """Remove the edge ``(u, v)`` if it exists.  Returns whether it did."""
@@ -92,6 +119,9 @@ class UndirectedGraph:
         self._adjacency[u].discard(v)
         self._adjacency[v].discard(u)
         self._mutations += 1
+        if self._buckets is not None:
+            self._shift(u, -1)
+            self._shift(v, -1)
         return True
 
     def remove_node(self, node: NodeId) -> List[NodeId]:
@@ -105,9 +135,30 @@ class UndirectedGraph:
         neighbors = sorted(self._adjacency[node], key=repr)
         for neighbor in neighbors:
             self._adjacency[neighbor].discard(node)
+        buckets = self._buckets
+        if buckets is not None:
+            buckets[len(neighbors)].discard(node)
+            for neighbor in neighbors:
+                self._shift(neighbor, -1)
         del self._adjacency[node]
         self._mutations += 1
         return neighbors
+
+    def _shift(self, node: NodeId, step: int) -> None:
+        """Re-bucket ``node`` after its degree moved by ``step`` (+1 or -1)."""
+        degree = len(self._adjacency[node])
+        self._buckets[degree - step].discard(node)
+        self._buckets[degree].add(node)
+        if degree > self._top:
+            self._top = degree
+
+    def _top_degree(self) -> int:
+        """The largest degree, read off the index (which must exist)."""
+        top = self._top
+        while top > 0 and not self._buckets[top]:
+            top -= 1
+        self._top = top
+        return top
 
     # ------------------------------------------------------------------
     # Queries
@@ -165,9 +216,26 @@ class UndirectedGraph:
 
     def max_degree(self) -> int:
         """Largest degree in the graph (0 for an empty graph)."""
+        if self._buckets is not None:
+            return self._top_degree()
         if not self._adjacency:
             return 0
         return max(len(neighbors) for neighbors in self._adjacency.values())
+
+    def top_degree_nodes(self) -> List[NodeId]:
+        """All maximum-degree nodes, sorted by ``repr`` (empty for an empty graph).
+
+        The first call builds the degree index in one scan; later calls cost
+        O(size of the top-degree bucket) however the graph changed between
+        them.
+        """
+        if self._buckets is None:
+            buckets: Dict[int, Set[NodeId]] = defaultdict(set)
+            for node, neighbors in self._adjacency.items():
+                buckets[len(neighbors)].add(node)
+            self._buckets = buckets
+            self._top = max(buckets, default=0)
+        return sorted(self._buckets[self._top_degree()], key=repr)
 
     def neighbors_of_neighbors(self, node: NodeId) -> Set[NodeId]:
         """The NoN set of ``node``: peers of peers, excluding the node itself.

@@ -417,15 +417,15 @@ def degree_histogram(graph: UndirectedGraph) -> Dict[int, int]:
 def top_degree_nodes(graph: UndirectedGraph) -> List[NodeId]:
     """All maximum-degree nodes, sorted by ``repr`` (empty for an empty graph).
 
-    Backs the hub-targeted takedown's per-victim candidate search.  One scan
-    of the adjacency sets serves every backend: the takedown mutates the
-    graph between queries, so a CSR mirror would be rebuilt for each one.
+    Backs the hub-targeted takedown's per-victim candidate search.  Every
+    backend reads the graph's own degree index
+    (:meth:`~repro.graphs.adjacency.UndirectedGraph.top_degree_nodes`): the
+    first query builds it, the graph's mutators keep it current, and each
+    later query costs O(size of the top-degree bucket).  A CSR mirror would
+    be rebuilt for every query, since the takedown mutates the graph between
+    them.
     """
-    if graph.number_of_nodes() == 0:
-        return []
-    degrees = graph.degrees()
-    top = max(degrees.values())
-    return sorted((node for node, degree in degrees.items() if degree == top), key=repr)
+    return graph.top_degree_nodes()
 
 
 def induced_component_summary(

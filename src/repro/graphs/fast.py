@@ -159,24 +159,20 @@ def build_csr(graph: UndirectedGraph) -> CSRGraph:
     adjacency = graph._adjacency
     nodes = list(adjacency)
     n = len(nodes)
-    degrees = np.fromiter(
-        (len(adjacency[node]) for node in nodes), dtype=np.int64, count=n
-    )
+    # C-level iterators throughout (map, chain): no Python frame per node
+    # or per edge.  Dict iteration order is the node order above.
+    degrees = np.fromiter(map(len, adjacency.values()), dtype=np.int64, count=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
     total = int(indptr[-1])
+    flat = chain.from_iterable(adjacency.values())
     if nodes == list(range(n)):
         # Contiguous integer labels (every generator's output): neighbour ids
         # are already CSR indices, so skip the per-edge dict lookups.
         index_of = {node: node for node in nodes}
-        flat = chain.from_iterable(adjacency[node] for node in nodes)
     else:
         index_of = {node: i for i, node in enumerate(nodes)}
-        flat = (
-            index_of[neighbor]
-            for node in nodes
-            for neighbor in adjacency[node]
-        )
+        flat = map(index_of.__getitem__, flat)
     indices = np.fromiter(flat, dtype=np.int32, count=total)
     return CSRGraph(nodes, index_of, indptr, indices)
 

@@ -242,13 +242,16 @@ def _cmd_run(args: argparse.Namespace, grid_args: Sequence[str]) -> int:
         for axis in grid_args:
             name, values = parse_grid_axis(axis)
             grid[name] = values
+        # Resolved once, here: the journal file name, the summary line,
+        # --json and the telemetry meta all show the hash the journal header
+        # pins, so one campaign has one hash.
         spec = ScenarioSpec(
             name=sc.name,
             params=_parse_overrides(args.overrides),
             grid=grid,
             trials=args.trials,
             seed=args.seed,
-        )
+        ).resolved(sc.defaults)
         journal = _journal_path(args, spec)
         result = execute(
             spec,

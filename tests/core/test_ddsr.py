@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from repro.adversary.takedown import TargetedDegreeTakedown
 from repro.core.ddsr import DDSRConfig, DDSROverlay, PruningPolicy, RepairPolicy
 from repro.core.errors import OverlayError
+from repro.graphs.adjacency import UndirectedGraph
+from repro.graphs.generators import k_regular_graph
 from repro.graphs.metrics import number_connected_components
 
 
@@ -268,3 +271,123 @@ class TestPathMetricSummary:
         assert exact["components"] == 1
         working = backend.largest_component_subgraph(overlay.graph)
         assert exact["avg_closeness"] == backend.average_closeness_centrality(working)
+
+
+class RescanPruningOverlay(DDSROverlay):
+    """Reference oracle: the straightforward pruner.
+
+    Rescans every peer's degree for each victim it drops.  The production
+    pruner groups the peers by degree once per pruning pass; it must make
+    the same decisions and consume the rng identically.
+    """
+
+    def _prune_node(self, node, victims=None):
+        removed = 0
+        adjacency = self.graph._adjacency
+        while len(adjacency[node]) > self.config.d_max:
+            victim = self._rescan_victim(node)
+            if victim is None:
+                break
+            self.graph.remove_edge(node, victim)
+            removed += 1
+            if victims is not None:
+                victims.append(victim)
+            self.stats.prune_operations += 1
+            self.stats.prune_edges_removed += 1
+            if self.config.forgetting_enabled:
+                self.stats.addresses_forgotten += 1
+        return removed
+
+    def _rescan_victim(self, node):
+        adjacency = self.graph._adjacency
+        policy = self.config.pruning_policy
+        if policy is PruningPolicy.RANDOM:
+            peers = list(self.graph.neighbors(node))
+            return self.rng.choice(peers) if peers else None
+        highest = policy is PruningPolicy.HIGHEST_DEGREE
+        extreme = None
+        candidates = []
+        for peer in adjacency[node]:
+            degree = len(adjacency[peer]) if highest else -len(adjacency[peer])
+            if extreme is None or degree > extreme:
+                extreme = degree
+                candidates = [peer]
+            elif degree == extreme:
+                candidates.append(peer)
+        if not candidates:
+            return None
+        if len(candidates) == 1:
+            return candidates[0]
+        return self.rng.choice(sorted(candidates, key=repr))
+
+
+def _onion(node):
+    return f"{(node * 2654435761) % 10**6:06d}bot.onion"
+
+
+def _overlay_pair(labels, policy, *, n=300, k=8, seed=0):
+    """The same seeded overlay twice: production pruner and reference."""
+    wired = k_regular_graph(n, k, seed=seed)
+    config = DDSRConfig(d_min=4, d_max=11, pruning_policy=policy)
+    pair = []
+    for cls in (DDSROverlay, RescanPruningOverlay):
+        if labels == "onion":
+            graph = UndirectedGraph(
+                nodes=map(_onion, wired.nodes()),
+                edges=[(_onion(u), _onion(v)) for u, v in wired.edges()],
+            )
+        else:
+            graph = wired.copy()
+        pair.append(cls(graph, config=config, rng=random.Random(seed)))
+    return pair
+
+
+def _state(overlay):
+    return (
+        sorted(tuple(sorted(map(repr, edge))) for edge in overlay.graph.edges()),
+        overlay.stats,
+        overlay.rng.getstate(),
+    )
+
+
+_POLICIES = [PruningPolicy.HIGHEST_DEGREE, PruningPolicy.LOWEST_DEGREE, PruningPolicy.RANDOM]
+
+
+class TestOnePassPruningMatchesRescan:
+    @pytest.mark.parametrize("labels", ["int", "onion"])
+    @pytest.mark.parametrize("policy", _POLICIES, ids=lambda p: p.value)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_removal_campaigns(self, labels, policy, seed):
+        """Random, hub-targeted and simultaneous removals, then a join."""
+        fast, reference = _overlay_pair(labels, policy, seed=seed)
+        for overlay in (fast, reference):
+            overlay.remove_fraction(0.15, rng=random.Random(seed + 1))
+            TargetedDegreeTakedown(count=20, rng=random.Random(seed + 2)).execute(overlay)
+            gone = random.Random(seed + 3).sample(overlay.nodes(), 25)
+            neighbor_sets = [overlay.remove_node(node, repair=False) for node in gone]
+            overlay.repair_after_mass_removal(neighbor_sets)
+            overlay.add_node("joiner", sorted(overlay.nodes(), key=repr)[:30])
+        assert fast.stats.prune_operations > 0
+        assert _state(fast) == _state(reference)
+
+    @pytest.mark.parametrize("labels", ["int", "onion"])
+    @pytest.mark.parametrize("policy", _POLICIES, ids=lambda p: p.value)
+    def test_collected_victims(self, labels, policy):
+        """Clone floods pruned through enforce_degree_bound_collect."""
+        fast, reference = _overlay_pair(labels, policy, seed=3)
+        collected = []
+        for overlay in (fast, reference):
+            victims = []
+            targets = random.Random(4).sample(overlay.nodes(), 10)
+            for index, target in enumerate(targets):
+                for clone in range(6):
+                    overlay.graph.add_leaf(f"clone-{index}-{clone}", target)
+                # Over-connect the target to peers of every degree as well.
+                for peer in sorted(overlay.nodes(), key=repr)[index::37]:
+                    if peer != target:
+                        overlay.graph.add_edge(target, peer)
+                victims.append(overlay.enforce_degree_bound_collect(target))
+            collected.append(victims)
+        assert any(collected[0])
+        assert collected[0] == collected[1]
+        assert _state(fast) == _state(reference)

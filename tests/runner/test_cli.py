@@ -239,6 +239,25 @@ class TestJournalFlow:
         assert main(args + ["--resume"]) == 0
         assert "1 replayed" in capsys.readouterr().out
 
+    def test_one_campaign_shows_one_spec_hash(self, tmp_path, capsys):
+        """Summary, --json, journal file name and journal header agree.
+
+        The run sets only ``n``, so the other parameters come from the
+        scenario's defaults: every surface must show the resolved hash.
+        """
+        cache_dir = tmp_path / "cache"
+        json_out = tmp_path / "out.json"
+        args = ["run", "fig3-walkthrough", "--set", "n=12", "--seed", "5",
+                "--quiet", "--cache-dir", str(cache_dir), "--json", str(json_out)]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        summary_hash = out[out.index("spec hash"):].split()[2]
+        assert json.loads(json_out.read_text())["spec_hash"] == summary_hash
+        (journal,) = (cache_dir / "journals").glob("*.jsonl")
+        assert journal.name == f"{summary_hash}.jsonl"
+        assert main(["journal", str(journal)]) == 0
+        assert f"(spec hash {summary_hash}," in capsys.readouterr().out
+
     def test_no_journal_flag_disables_journaling(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         args = ["run", "fig3-walkthrough", "--seed", "5", "--quiet",
